@@ -35,7 +35,7 @@ from .coupled import (
     fixed_point_solve,
 )
 from .errors import ConfigError, SolverError
-from .fieldio import write_field
+from .fieldio import field_from_spec, write_field
 from .grid import (
     GridSpec,
     ScalarField,
@@ -78,56 +78,33 @@ def _grid_from(cfg):
     return GridSpec(dim=int(sec["dim"]), n_axis=int(sec["n_axis"]), **kwargs)
 
 
-def _scalar_from(grid, spec, name):
-    vals = np.full(grid.shape, float(spec.get("constant", 0.0)))
-    xs = np.meshgrid(*grid.x_axes, indexing="ij", sparse=True)
-    for mode in spec.get("fourier", []):
-        k = mode["wavevector"]
-        if len(k) != grid.dim:
-            raise ConfigError(
-                f"field '{name}': wavevector {k} has {len(k)} entries on a "
-                f"{grid.dim}-dimensional grid")
-        if max(abs(int(kj)) for kj in k) >= grid.n_axis // 2:
-            raise ConfigError(
-                f"field '{name}': wavevector {k} reaches the unresolvable "
-                f"bound {grid.n_axis // 2} of a {grid.n_axis}-point axis")
-        phase = sum((2.0 * np.pi / grid.length) * int(kj) * xj
-                    for kj, xj in zip(k, xs))
-        vals = vals + (float(mode.get("cos_amp", 0.0)) * np.cos(phase)
-                       + float(mode.get("sin_amp", 0.0)) * np.sin(phase))
-    return ScalarField(grid, vals)
-
-
-def _vector_from(grid, spec, name):
-    comps = spec["components"]
-    if len(comps) != grid.dim:
-        raise ConfigError(
-            f"field '{name}': {len(comps)} components on a {grid.dim}-dimensional grid")
-    vals = np.stack([_scalar_from(grid, c, f"{name}[{i}]").values
-                     for i, c in enumerate(comps)])
-    return VectorField(grid, vals)
+def _field(grid, spec, name, kind="scalar"):
+    try:
+        return field_from_spec(grid, spec, kind)
+    except ConfigError as err:
+        raise ConfigError(f"field '{name}': {err}") from err
 
 
 def _scalar_or_const(grid, sec, name, default):
     if name in sec:
-        return _scalar_from(grid, sec[name], name)
+        return _field(grid, sec[name], name)
     return ScalarField(grid, np.full(grid.shape, float(default)))
 
 
 def _vector_or_zero(grid, sec, name):
     if name in sec:
-        return _vector_from(grid, sec[name], name)
+        return _field(grid, sec[name], name, "vector")
     return VectorField(grid, np.zeros((grid.dim,) + grid.shape))
 
 
 def _coeffs_from(grid, sec):
     return LichCoefficients(
-        a=_scalar_from(grid, sec["a"], "a"),
+        a=_field(grid, sec["a"], "a"),
         b=_scalar_or_const(grid, sec, "b", 0.0),
         c=_scalar_or_const(grid, sec, "c", 0.0),
         d=_scalar_or_const(grid, sec, "d", 0.0),
-        f=_scalar_from(grid, sec["f"], "f"),
-        h=_scalar_from(grid, sec["h"], "h"),
+        f=_field(grid, sec["f"], "f"),
+        h=_field(grid, sec["h"], "h"),
         Y=_vector_or_zero(grid, sec, "Y"),
     )
 
@@ -137,16 +114,16 @@ def _system_from(grid, sec):
         b=_scalar_or_const(grid, sec, "b", 0.0),
         c=_scalar_or_const(grid, sec, "c", 0.0),
         d=_scalar_or_const(grid, sec, "d", 0.0),
-        f=_scalar_from(grid, sec["f"], "f"),
-        h=_scalar_from(grid, sec["h"], "h"),
-        rho1=_scalar_from(grid, sec["rho1"], "rho1"),
+        f=_field(grid, sec["f"], "f"),
+        h=_field(grid, sec["h"], "h"),
+        rho1=_field(grid, sec["rho1"], "rho1"),
         rho2=_scalar_or_const(grid, sec, "rho2", 0.0),
         rho3=_scalar_or_const(grid, sec, "rho3", 1.0),
         Y=_vector_or_zero(grid, sec, "Y"),
         Psi=SymTensorField(grid, np.zeros((grid.dim, grid.dim) + grid.shape)),
         rhs_mode="zero",
     )
-    a_tilde = _scalar_from(grid, sec["a_tilde"], "a_tilde")
+    a_tilde = _field(grid, sec["a_tilde"], "a_tilde")
     return sys_coeffs, a_tilde
 
 
@@ -198,7 +175,7 @@ def _run_solve_scalar(cfg, grid, report, out_dir, dump):
     info = {}
     psi = None
     if "psi" in sec:
-        candidate = _scalar_from(grid, sec["psi"], "psi")
+        candidate = _field(grid, sec["psi"], "psi")
         defect = float(scalar_residual(candidate, coeffs).values.min())
         if defect >= -1e-8:
             psi = candidate
@@ -229,8 +206,8 @@ def _run_solve_scalar(cfg, grid, report, out_dir, dump):
 def _run_solve_momentum(cfg, grid, report, out_dir, dump):
     sec = _section(cfg, "momentum", "solve-momentum")
     tol = float(cfg.get("tolerances", {}).get("momentum", 1e-10))
-    prob = MomentumProblem(rho3=_scalar_from(grid, sec["rho3"], "rho3"),
-                           x=_vector_from(grid, sec["x"], "x"))
+    prob = MomentumProblem(rho3=_field(grid, sec["rho3"], "rho3"),
+                           x=_field(grid, sec["x"], "x", "vector"))
     w, kernel = solve_lame(prob, tol=tol)
     report["momentum"] = {
         "w_sup": float(sup_norm(w)),
@@ -278,7 +255,7 @@ def _run_solve_coupled(cfg, grid, report, out_dir, dump):
 
 def _run_eigen(cfg, grid, report, out_dir, dump):
     sec = _section(cfg, "scalar", "eigen")
-    u = _scalar_from(grid, _section(cfg, "eigen", "eigen")["u"], "u")
+    u = _field(grid, _section(cfg, "eigen", "eigen")["u"], "u")
     coeffs = _coeffs_from(grid, sec)
     op = linearize(u, coeffs)
     lam, phi = smallest_eigenvalue(op)
@@ -304,7 +281,7 @@ def _run_map_physical(cfg, grid, report, out_dir, dump):
         tau_star=float(sec["tau_star"]),
         v_coeffs=tuple(float(c) for c in sec["v_coeffs"]),
     )
-    u = _scalar_from(grid, sec["u"], "u")
+    u = _field(grid, sec["u"], "u")
     _, mrep = map_parameters(phys)
     w, kernel, used = solve_drift_momentum(u, phys)
     data = reconstruct_data(u, w, used)

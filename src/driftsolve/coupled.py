@@ -29,12 +29,11 @@ from .grid import (
     VectorField,
     c2_surrogate,
     conformal_killing,
-    divergence,
     gradient,
     laplacian,
     sup_norm,
 )
-from .momentum import MomentumProblem, momentum_rhs, solve_lame
+from .momentum import MomentumProblem, _apply_operator, momentum_rhs, solve_lame
 from .scalar import (
     LichCoefficients,
     find_supersolution,
@@ -155,11 +154,7 @@ def system_residual(u, w, sys):
     """
     g = u.grid
     rs = scalar_residual(u, effective_scalar_coefficients(sys, w))
-
-    flux = sys.rho3.values * conformal_killing(w).values
-    div_flux = np.empty((g.dim,) + g.shape)
-    for j in range(g.dim):
-        div_flux[j] = divergence(VectorField(g, flux[:, j])).values
+    div_flux = _apply_operator(sys.rho3, w.values)
     source = _vector_rhs(sys, u)
     if source is not None:
         sv = source.values
@@ -182,12 +177,11 @@ def _holder_surrogate(field):
 
 
 def _probe_fields(grid):
-    x = np.meshgrid(*grid.x_axes, indexing="ij", sparse=True)
-    flat = np.ones(grid.shape)
+    unit = np.eye(grid.dim, dtype=int)
     return [
-        ScalarField(grid, flat),
-        ScalarField(grid, 1.0 + 0.2 * np.sin(x[0]) + 0.0 * flat),
-        ScalarField(grid, 1.5 + 0.3 * np.cos(x[1 % grid.dim]) + 0.0 * flat),
+        ScalarField(grid, np.ones(grid.shape)),
+        ScalarField(grid, 1.0 + 0.2 * np.sin(grid.phase(unit[0]))),
+        ScalarField(grid, 1.5 + 0.3 * np.cos(grid.phase(unit[1]))),
     ]
 
 
@@ -263,15 +257,19 @@ def check_hypotheses(sys, a_tilde):
 
 # ----------------------------------------------------------- Sobolev constant
 
+# seed, count and ascent-step budget of the band-limited starts
+_SOBOLEV_SEED = 0
+_SOBOLEV_STARTS = 16
+_SOBOLEV_STEPS = 300
 
-def estimate_sobolev_constant(h, return_maximizer=False, seed=0, n_starts=16,
-                              max_steps=300):
+
+def estimate_sobolev_constant(h, return_maximizer=False):
     """Lower estimate of the critical embedding constant for ``lap + h``.
 
     Maximizes ``integral(|v|^q) / (integral(|grad v|^2 + h v^2))^(q/2)`` by
-    projected gradient ascent from the constant function plus ``n_starts``
-    seeded band-limited starts.  Any attained quotient is a genuine lower
-    bound; the report is deterministic for a given seed.
+    projected gradient ascent from the constant function plus
+    ``_SOBOLEV_STARTS`` seeded band-limited starts.  Any attained quotient
+    is a genuine lower bound; the report is deterministic.
 
     Returns the estimate, or ``(estimate, maximizer)`` with the maximizer
     normalized to unit quadratic form when ``return_maximizer`` is True.
@@ -285,28 +283,24 @@ def estimate_sobolev_constant(h, return_maximizer=False, seed=0, n_starts=16,
     q = g.q
     hv = h.values
 
+    def form(v):
+        gv = gradient(ScalarField(g, v)).values
+        return float((np.mean((gv**2).sum(axis=0)) + np.mean(hv * v**2)) * g.volume)
+
     def quotient(v):
         num = float(np.mean(np.abs(v) ** q) * g.volume)
-        gv = _grad(v)
-        den = float((np.mean((gv**2).sum(axis=0)) + np.mean(hv * v**2)) * g.volume)
+        den = form(v)
         return num, den, num / den ** (q / 2.0)
 
-    def _grad(v):
-        return gradient(ScalarField(g, v)).values
-
     def _form_normalize(v):
-        gv = _grad(v)
-        den = float((np.mean((gv**2).sum(axis=0)) + np.mean(hv * v**2)) * g.volume)
-        return v / np.sqrt(den)
+        return v / np.sqrt(form(v))
 
-    rng = np.random.default_rng(seed)
-    x = np.meshgrid(*g.x_axes, indexing="ij", sparse=True)
+    rng = np.random.default_rng(_SOBOLEV_SEED)
     starts = [np.ones(g.shape)]
-    for _ in range(n_starts):
+    for _ in range(_SOBOLEV_STARTS):
         v = np.zeros(g.shape)
         for _ in range(6):
-            kvec = rng.integers(-2, 3, size=g.dim)
-            phase = sum(int(k) * x[a] for a, k in enumerate(kvec))
+            phase = g.phase(rng.integers(-2, 3, size=g.dim))
             v = v + rng.normal() * np.cos(phase) + rng.normal() * np.sin(phase)
         if np.abs(v).max() > 0:
             starts.append(1.0 + 0.5 * v / np.abs(v).max())
@@ -318,7 +312,7 @@ def estimate_sobolev_constant(h, return_maximizer=False, seed=0, n_starts=16,
         num, den, val = quotient(v)
         eta = 0.05
         stall = 0
-        for _ in range(max_steps):
+        for _ in range(_SOBOLEV_STEPS):
             ascent = (q * np.abs(v) ** (q - 2.0) * v / num
                       - q * (laplacian(ScalarField(g, v)).values + hv * v) / den)
             trial = _form_normalize(v + eta * ascent)
@@ -343,7 +337,7 @@ def estimate_sobolev_constant(h, return_maximizer=False, seed=0, n_starts=16,
 # -------------------------------------------------------------------- driver
 
 
-def fixed_point_solve(sys, a_tilde, max_outer=50, tol_outer=1e-9, verbose=False):
+def fixed_point_solve(sys, a_tilde, max_outer=50, tol_outer=1e-9):
     """Alternate the vector and scalar solves until the log-iterates settle.
 
     Each outer pass rebuilds the vector source at the current scalar
@@ -403,8 +397,6 @@ def fixed_point_solve(sys, a_tilde, max_outer=50, tol_outer=1e-9, verbose=False)
                 f"second-derivative surrogate grew from {surrogates[-6]:.3e} "
                 f"to {surrogates[-1]:.3e} over five passes")
         u = u_new
-        if verbose:
-            print(f"  outer {outer}: step {step:.3e} margin {margin:.3e}")
         if step < tol_outer:
             break
     else:

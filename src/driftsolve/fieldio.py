@@ -84,7 +84,6 @@ def _scalar_from_spec(grid, spec):
     if not isinstance(spec, dict) or not ({"constant", "fourier"} & set(spec)):
         raise ConfigError(f"field spec needs 'constant' and/or 'fourier': {spec!r}")
     vals = np.full(grid.shape, float(spec.get("constant", 0.0)))
-    x = np.meshgrid(*grid.x_axes, indexing="ij", sparse=True)
     for mode in spec.get("fourier", ()):
         kvec = mode.get("wavevector")
         if not isinstance(kvec, (list, tuple)) or len(kvec) != grid.dim:
@@ -93,20 +92,22 @@ def _scalar_from_spec(grid, spec):
         if any(abs(int(k)) >= grid.n_axis // 2 for k in kvec):
             raise ConfigError(
                 f"wavevector {kvec} is not resolvable on {grid.n_axis} points per axis")
-        phase = sum(int(k) * x[j] for j, k in enumerate(kvec))
+        phase = grid.phase(kvec)
         vals = vals + (float(mode.get("cos_amp", 0.0)) * np.cos(phase)
                        + float(mode.get("sin_amp", 0.0)) * np.sin(phase))
-    return ScalarField(grid, vals + np.zeros(grid.shape))
+    return ScalarField(grid, vals)
 
 
 def field_from_spec(grid, spec, kind="scalar"):
     """Build a field from a declarative JSON-style description.
 
     Scalar specs combine a constant offset with a list of Fourier modes,
-    each ``{"wavevector": [..], "cos_amp": a, "sin_amp": b}``.  Vector
-    (``kind="vector"``) and symmetric tensor (``kind="tensor"``) specs wrap
-    scalar specs in a ``"components"`` list: dim entries for vectors,
-    dim*(dim+1)/2 upper-triangle entries for tensors.
+    each ``{"wavevector": [..], "cos_amp": a, "sin_amp": b}`` with phase
+    :meth:`GridSpec.phase` of the wavevector; a spec naming neither part is
+    rejected.  Vector (``kind="vector"``) and symmetric tensor
+    (``kind="tensor"``) specs wrap scalar specs in a ``"components"`` list:
+    dim entries for vectors, dim*(dim+1)/2 upper-triangle entries for
+    tensors.
     """
     if kind == "scalar":
         return _scalar_from_spec(grid, spec)

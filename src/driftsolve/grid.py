@@ -14,6 +14,9 @@ conventions matter everywhere downstream:
   grid functions, at the price of the Laplacian (and the vector operator
   below) annihilating pure Nyquist modes.  Solvers treat those modes as
   part of the operator kernel and project them out of right-hand sides.
+
+``GridSpec`` owns both: ``GridSpec.phase`` turns an integer wavevector into
+the phase of its mode and ``GridSpec.nyquist`` marks the unpaired planes.
 """
 
 from __future__ import annotations
@@ -64,19 +67,38 @@ class GridSpec:
         axis = np.arange(self.n_axis) * step
         axis.setflags(write=False)
         self.x_axes = [axis] * self.dim
+        self._x_mesh = np.meshgrid(*self.x_axes, indexing="ij", sparse=True)
 
+        half = self.n_axis // 2
         k = 2.0 * np.pi * np.fft.fftfreq(self.n_axis, d=step)
-        k[self.n_axis // 2] = 0.0  # unpaired mode carries no first derivative
+        k[half] = 0.0  # unpaired mode carries no first derivative
         k.setflags(write=False)
         self.k_axes = [k] * self.dim
 
         kmesh = np.meshgrid(*self.k_axes, indexing="ij", sparse=True)
+        unpaired = np.meshgrid(*[np.arange(self.n_axis) == half] * self.dim,
+                               indexing="ij", sparse=True)
         k2 = np.zeros(self.shape)
-        for kj in kmesh:
+        nyquist = np.zeros(self.shape, dtype=bool)
+        for kj, uj in zip(kmesh, unpaired):
             k2 = k2 + kj**2
+            nyquist = nyquist | uj
         k2.setflags(write=False)
+        nyquist.setflags(write=False)
         self.k_squared = k2
+        # Fourier-index mask of the unpaired highest-mode planes of all axes
+        self.nyquist = nyquist
         self._k_mesh = kmesh
+
+    def phase(self, kvec):
+        """Phase ``sum_j (2 pi / length) k_j x_j`` of the integer wavevector
+        ``kvec`` on the grid points, summed over the axes in index order.
+
+        Every mode this returns is periodic on the grid, whatever its length.
+        """
+        scale = 2.0 * np.pi / self.length
+        return sum(scale * int(k) * xj
+                   for k, xj in zip(kvec, self._x_mesh, strict=True))
 
     def __eq__(self, other):
         return (isinstance(other, GridSpec)
@@ -292,7 +314,10 @@ def solve_scalar_linear(grid, h, drift, rhs, tol=1e-12):
     Constant ``h`` without drift is a diagonal division in Fourier space.
     Otherwise GMRES runs with that diagonal solve (at the mean of ``h``)
     as preconditioner, followed by defect-correction polish down to
-    ``tol`` times the right-hand-side magnitude.
+    ``tol`` times the right-hand-side magnitude.  Each of the four rounds
+    gets at most ten restart cycles: GMRES aims below ``tol``, and on a
+    nearly singular operator its own target lies under the roundoff floor,
+    where further cycles gain nothing.
     """
     hv = h.values
     bv = None if drift is None else drift.values
@@ -348,7 +373,7 @@ def solve_scalar_linear(grid, h, drift, rhs, tol=1e-12):
     r = b.copy()
     for _ in range(4):
         du, _ = gmres(a_op, r, M=m_op, rtol=1e-13, atol=0.0,
-                      restart=60, maxiter=400)
+                      restart=60, maxiter=10)
         u = u + du
         r = b - apply_op(u)
         if np.abs(r).max() <= tol * scale:

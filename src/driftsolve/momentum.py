@@ -75,25 +75,15 @@ class KernelReport:
     ratios: list
 
 
-def _nyquist_mask(grid):
-    mask = np.zeros(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[ax] = grid.n_axis // 2
-        mask[tuple(sl)] = True
-    return mask
-
-
 def _project_solvable(grid, comps, measure=False):
     """Zero the mean and the unpaired-mode planes of each component."""
-    mask = _nyquist_mask(grid)
     out = np.empty_like(comps)
     removed = 0.0
     for j in range(grid.dim):
         hat = np.fft.fftn(comps[j])
         if measure:
             kept = hat.copy()
-        hat[mask] = 0.0
+        hat[grid.nyquist] = 0.0
         hat[(0,) * grid.dim] = 0.0
         out[j] = np.fft.ifftn(hat).real
         if measure:
@@ -114,18 +104,17 @@ def estimate_C1(grid, seed=0, n_probes=32):
     """Measured operator constant: how large ``cdev(W)`` gets per unit data.
 
     Maximizes ``sup|cdev(solve(X))| / sup|X|`` over one deterministic
-    single-mode probe (which realizes the ratio 1 exactly and floors the
-    estimate) followed by ``n_probes`` random band-limited mean-free probes.
-    Results are cached per grid, seed, and probe count.
+    single-mode probe (which realizes the ratio ``length / (2 pi)`` exactly
+    and floors the estimate) followed by ``n_probes`` random band-limited
+    mean-free probes.  Results are cached per grid, seed, and probe count.
     """
     key = (grid.dim, grid.n_axis, grid.length, seed, n_probes)
     if key in _C1_CACHE:
         return _C1_CACHE[key]
 
-    x_axes = np.meshgrid(*grid.x_axes, indexing="ij", sparse=True)
     probes = []
     single = np.zeros((grid.dim,) + grid.shape)
-    single[0] = np.sin(x_axes[0]) + np.zeros(grid.shape)
+    single[0] = np.sin(grid.phase(np.eye(grid.dim, dtype=int)[0]))
     probes.append(single)
 
     rng = np.random.default_rng(seed)
@@ -137,7 +126,7 @@ def estimate_C1(grid, seed=0, n_probes=32):
                 kvec = rng.integers(-2, 3, size=grid.dim)
                 if not np.any(kvec):
                     continue
-                phase = sum(int(k) * x_axes[a] for a, k in enumerate(kvec))
+                phase = grid.phase(kvec)
                 vals = vals + rng.normal() * np.cos(phase) + rng.normal() * np.sin(phase)
             comps[j] = vals
         probes.append(comps)
@@ -154,7 +143,7 @@ def estimate_C1(grid, seed=0, n_probes=32):
     return best
 
 
-def solve_lame(prob, tol=1e-10, max_iter=60, verbose=False):
+def solve_lame(prob, tol=1e-10, max_iter=60):
     """Solve ``div(rho3 * cdev(W)) = X`` in the mean-zero gauge.
 
     Returns
@@ -197,8 +186,6 @@ def solve_lame(prob, tol=1e-10, max_iter=60, verbose=False):
         w_vals = w_vals + lame_invert(VectorField(g, guess)).values
         r = xp - _apply_operator(prob.rho3, w_vals)
         resids.append(float(np.abs(r).max()))
-        if verbose:
-            print(f"  defect correction {len(resids) - 1}: residual {resids[-1]:.3e}")
 
     base = max(scale, 1e-300)
     ratios = [resids[0] / base] + [

@@ -29,6 +29,7 @@ from .errors import (
     NoSubsolution,
     NoSupersolutionFound,
     NotASupersolution,
+    SolverError,
 )
 from .grid import ScalarField, VectorField, gradient, laplacian, solve_scalar_linear
 
@@ -156,7 +157,7 @@ def _gen_eq_residual(data, uv):
     return out
 
 
-def solve_gen_eq(data, u_init, tol=None, max_newton=50, verbose=False):
+def solve_gen_eq(data, u_init, tol=None, max_newton=50):
     """Solve the frozen sweep problem by damped Newton (direct when linear).
 
     With ``Z == 0`` the problem is linear and handled in one solve.
@@ -177,8 +178,6 @@ def solve_gen_eq(data, u_init, tol=None, max_newton=50, verbose=False):
     res = _gen_eq_residual(data, uv)
     for it in range(max_newton):
         res_sup = np.abs(res).max()
-        if verbose:
-            print(f"    newton {it}: residual {res_sup:.3e}")
         if res_sup <= tol:
             return ScalarField(g, uv)
         s = np.sum(gradient(ScalarField(g, uv)).values * data.Z.values, axis=0)
@@ -229,7 +228,7 @@ class MonotoneTrace:
 
 
 def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
-                     max_outer=2000, callback=None, verbose=False):
+                     max_outer=2000, callback=None):
     """Sweep upward from the constant lower barrier to a solution below ``psi``.
 
     Parameters
@@ -285,8 +284,6 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
         trace.final_residual = resid
         if callback is not None:
             callback(it, uv)
-        if verbose and it % 50 == 0:
-            print(f"  sweep {it}: step {step:.3e}, residual {resid:.3e}")
         if step < step_tol and resid <= tol_outer:
             return u, trace
     raise NonConvergence("monotone sweeps did not settle",
@@ -304,7 +301,7 @@ def _constant_margin(h, f, at, t):
     return float(vals.min())
 
 
-def find_supersolution(h, f, a_tilde, verbose=False):
+def find_supersolution(h, f, a_tilde):
     """Search for an upper barrier of the reduced equation (b = c = 0, Y = 0).
 
     Stage one scans constant levels on a wide geometric grid and polishes
@@ -335,8 +332,6 @@ def find_supersolution(h, f, a_tilde, verbose=False):
                           options={"xatol": 1e-13})
     best_t = float(opt.x)
     best_margin = _constant_margin(h, f, a_tilde, best_t)
-    if verbose:
-        print(f"  constant barrier scan: t = {best_t:.6g}, margin = {best_margin:.3e}")
     if best_margin >= -1e-8:
         return ScalarField(g, np.full(g.shape, best_t))
 
@@ -359,7 +354,7 @@ def find_supersolution(h, f, a_tilde, verbose=False):
         try:
             delta = solve_scalar_linear(g, zeroth, None,
                                         ScalarField(g, -res), tol=1e-11).values
-        except Exception:
+        except SolverError:
             break
         lam, improved = 1.0, False
         for _ in range(15):

@@ -89,13 +89,14 @@ def _starting_block(grid, m):
     unpaired-mode content, and a smooth block has exactly zero overlap with
     them, so the iteration converges to the physical ground state.
     """
-    x = np.meshgrid(*grid.x_axes, indexing="ij", sparse=True)
+    unit = np.eye(grid.dim, dtype=int)
     cols = [np.ones(grid.shape)]
     ax = 0
     while len(cols) < m:
-        cols.append(np.cos(x[ax]) + np.zeros(grid.shape))
+        phase = grid.phase(unit[ax])
+        cols.append(np.cos(phase))
         if len(cols) < m:
-            cols.append(np.sin(x[ax]) + np.zeros(grid.shape))
+            cols.append(np.sin(phase))
         ax = (ax + 1) % grid.dim
     return np.column_stack([c.ravel() for c in cols])
 
@@ -106,15 +107,10 @@ def _unpaired_fraction(grid, vals):
     total = float(np.sqrt((np.abs(hat) ** 2).sum()))
     if total == 0.0:
         return 0.0
-    mask = np.zeros(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[ax] = grid.n_axis // 2
-        mask[tuple(sl)] = True
-    return float(np.sqrt((np.abs(hat[mask]) ** 2).sum())) / total
+    return float(np.sqrt((np.abs(hat[grid.nyquist]) ** 2).sum())) / total
 
 
-def smallest_eigenvalue(op, tol=5e-9, max_iter=800, block=6, verbose=False):
+def smallest_eigenvalue(op, tol=5e-9, max_iter=800, block=6):
     """Ground eigenpair of the linearized operator.
 
     Block inverse iteration on the operator shifted by ``k_lin``, with a
@@ -154,7 +150,7 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800, block=6, verbose=False):
     lam = 0.0
     resid = np.inf
     enrich = None
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         nxt = np.empty_like(basis)
         for j in range(basis.shape[1]):
             col = ScalarField(g, basis[:, j].reshape(g.shape))
@@ -188,9 +184,6 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800, block=6, verbose=False):
         lam = float(np.mean(phi * lap_phi) / np.mean(phi**2))
         r = lap_phi - lam * phi
         resid = float(np.sqrt(np.mean(r**2) * g.volume))
-        if verbose and it % 10 == 0:
-            print(f"  block inverse iteration {it}: lambda {lam:.9f} "
-                  f"residual {resid:.3e}")
         if resid <= tol:
             break
         enrich = r.ravel() / np.linalg.norm(r.ravel())

@@ -121,6 +121,14 @@ def test_rejects_unresolvable_fourier_mode(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+def test_rejects_empty_field_spec(tmp_path):
+    cfg = scalar_config()
+    cfg["scalar"]["b"] = {}
+    path = write_config(tmp_path, cfg)
+    assert main(["solve-scalar", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+
+
 def test_rejects_unknown_mode(tmp_path):
     cfg = write_config(tmp_path, scalar_config())
     assert main(["frobnicate", "--config", str(cfg),
@@ -219,6 +227,24 @@ def test_map_physical_mode(tmp_path):
     assert "flags" in rep["physical"]
     assert {r["id"] for r in rep["physical"]["records"]} >= {
         "rho3 reading", "rho1 linear-vs-squared pi"}
+
+
+def test_fields_follow_grid_length(tmp_path):
+    from driftsolve.fieldio import field_from_spec, read_field
+
+    spec = {"constant": 1.0,
+            "fourier": [{"wavevector": [1, 0, 0], "sin_amp": 0.1}]}
+    cfg = write_config(tmp_path, {
+        "grid": {"dim": 3, "n_axis": 16, "length": 1.0},
+        "physical": {"tau_star": 0.7, "v_coeffs": [0.7**2 / 3.0], "u": spec},
+        "output": {"dump_fields": True},
+    })
+    out = tmp_path / "out"
+    assert main(["map-physical", "--config", str(cfg), "--out", str(out)]) == 0
+    u = read_field(out / "u.dcf")
+    assert np.array_equal(u.values, field_from_spec(u.grid, spec).values)
+    x = u.grid.x_axes[0][:, None, None]
+    assert np.allclose(u.values, 1.0 + 0.1 * np.sin(2.0 * np.pi * x), atol=1e-14)
 
 
 def test_verify_mode(tmp_path):

@@ -104,6 +104,13 @@ def test_field_from_spec_fourier():
     assert np.allclose(u.values, expected, atol=1e-14)
 
 
+def test_field_from_spec_honours_grid_length():
+    g = GridSpec(dim=3, n_axis=16, length=1.0)
+    u = field_from_spec(g, {"fourier": [{"wavevector": [1, 0, 0], "sin_amp": 1.0}]})
+    expected = np.sin(2.0 * np.pi * mesh(g)[0] / g.length)
+    assert np.allclose(u.values, expected, atol=1e-14)
+
+
 def test_field_from_spec_vector():
     g = GridSpec(dim=3, n_axis=16)
     spec = {

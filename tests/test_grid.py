@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from driftsolve.errors import ConfigError, SingularOperator
+from driftsolve.errors import ConfigError, NonConvergence, SingularOperator
 from driftsolve.grid import (
     GridSpec,
     ScalarField,
@@ -133,6 +133,16 @@ def test_unpaired_mode_is_derivative_free():
     assert sup_norm(laplacian(u)) <= 1e-12
 
 
+def test_phase_and_nyquist_mask():
+    g = GridSpec(dim=4, n_axis=8, length=1.0)
+    x = mesh(g)
+    expected = 2.0 * np.pi * (x[0] - 2.0 * x[2] + 3.0 * x[3])
+    assert np.allclose(g.phase([1, 0, -2, 3]), expected, atol=1e-13)
+    # the unpaired index n/2 of any axis marks a Fourier entry as Nyquist
+    assert np.array_equal(g.nyquist, np.any(np.indices(g.shape) == 4, axis=0))
+    assert not g.nyquist.flags.writeable
+
+
 def test_conformal_killing_trace_and_values():
     g = GridSpec(dim=3, n_axis=16)
     w = vec_with(g, 0, sin_s(g, axis=0))
@@ -238,6 +248,27 @@ def test_linear_solve_singular_operator():
     # zero-mean right side is solvable: lap(sin x1) = sin x1
     u = solve_scalar_linear(g, const_s(g, 0.0), None, sin_s(g))
     assert np.abs(u.values - sin_s(g).values).max() <= 1e-12
+
+
+def test_linear_solve_gives_up_on_nearly_singular_operator(monkeypatch):
+    # h = -1 + 1e-6 sin x1 nearly cancels the |k| = 1 modes: no iterate gets
+    # within the tolerance, and the solve must say so after bounded work
+    g = GridSpec(dim=3, n_axis=8)
+    h = ScalarField(g, -1.0 + 1e-6 * sin_s(g).values)
+    rhs = ScalarField(g, cos_s(g, axis=1).values + sin_s(g, axis=2, amp=0.3, mode=2).values)
+    n_fft = [0]
+    fftn = np.fft.fftn
+
+    def counting_fftn(*args, **kwargs):
+        n_fft[0] += 1
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    with pytest.raises(NonConvergence):
+        solve_scalar_linear(g, h, None, rhs)
+    # four rounds of at most ten restart cycles; a cycle of 60 steps costs
+    # two transforms a step plus a few (the unbounded solve took ~195000)
+    assert n_fft[0] <= 4 * 10 * (2 * 60 + 3)
 
 
 def test_linear_solve_zero_mean_convention():

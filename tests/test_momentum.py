@@ -50,6 +50,12 @@ def test_estimate_c1_scale_invariance_of_probes():
     assert estimate_C1(g, seed=3) >= ratio - 1e-12
 
 
+def test_estimate_c1_floor_scales_with_length():
+    # the single-mode probe sin(2 pi x / L) realizes the ratio L / (2 pi)
+    g = GridSpec(dim=3, n_axis=16, length=1.0)
+    assert estimate_C1(g, n_probes=4) >= 1.0 / (2.0 * np.pi) - 1e-12
+
+
 # ----------------------------------------------------------------- the solve
 
 

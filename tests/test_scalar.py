@@ -314,6 +314,18 @@ def test_find_supersolution_newton_fallback():
     assert defect.min() >= -1e-8
 
 
+def test_find_supersolution_propagates_programming_errors(monkeypatch):
+    # only a solver failure ends the Newton stage; anything else is a bug
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken linear solve")
+
+    monkeypatch.setattr("driftsolve.scalar.solve_scalar_linear", broken)
+    g = GridSpec(dim=3, n_axis=16)
+    with pytest.raises(RuntimeError):
+        find_supersolution(sin_s(g, amp=0.9, offset=1.0), const_s(g, 0.5),
+                           const_s(g, 0.03))
+
+
 # ----------------------------------------------------------------- residual
 
 

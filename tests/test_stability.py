@@ -7,6 +7,8 @@ from driftsolve.grid import GridSpec, ScalarField, l2_norm, laplacian, gradient
 from driftsolve.scalar import LichCoefficients
 from driftsolve.stability import (
     LinearizedOperator,
+    _starting_block,
+    _unpaired_fraction,
     coercivity_eigenvalue,
     linearize,
     smallest_eigenvalue,
@@ -22,6 +24,12 @@ def constant_coeffs(grid, a=0.5, f=0.5, h=1.0, b=0.0, c=0.0, d=0.0):
         d=const_s(grid, d), f=const_s(grid, f), h=const_s(grid, h),
         Y=zero_v(grid),
     )
+
+
+def test_starting_block_has_no_unpaired_content():
+    g = GridSpec(dim=3, n_axis=16, length=1.0)
+    for col in _starting_block(g, 6).T:
+        assert _unpaired_fraction(g, col.reshape(g.shape)) <= 1e-15
 
 
 # ------------------------------------------------------------- linearization
