@@ -29,7 +29,6 @@ import numpy as np
 
 from . import __version__
 from .coupled import (
-    RhsInputs,
     SystemCoefficients,
     check_hypotheses,
     fixed_point_solve,

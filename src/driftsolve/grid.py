@@ -17,9 +17,21 @@ conventions matter everywhere downstream:
 
 ``GridSpec`` owns both: ``GridSpec.phase`` turns an integer wavevector into
 the phase of its mode and ``GridSpec.nyquist`` marks the unpaired planes.
+
+Every transform is real-to-complex (``np.fft.rfftn``/``irfftn``): fields are
+real, so only the half spectrum of the last axis is computed, and each
+kernel multiplies it by half-spectrum symbols ``GridSpec`` builds once (``i
+k_j`` as sparse meshes, ``|k|^2``, ``1/|k|^2`` with 0 on the kernel, the
+Nyquist planes).  Derivative terms that add up to one output are summed in
+Fourier space before a single inverse transform, and symmetric tensors are
+transformed only on their upper triangle.  The vector operator
+``div(rho3 cdev W)`` thus costs ``2 dim + dim (dim + 1)`` transforms per
+apply: 18, 28 and 40 in dims 3, 4 and 5.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -69,26 +81,41 @@ class GridSpec:
         self.x_axes = [axis] * self.dim
         self._x_mesh = np.meshgrid(*self.x_axes, indexing="ij", sparse=True)
 
+        # Half-spectrum symbols: real-to-complex transforms keep the last
+        # axis's non-negative frequencies 0..n/2, every other axis whole.
         half = self.n_axis // 2
         k = 2.0 * np.pi * np.fft.fftfreq(self.n_axis, d=step)
         k[half] = 0.0  # unpaired mode carries no first derivative
-        k.setflags(write=False)
-        self.k_axes = [k] * self.dim
-
-        kmesh = np.meshgrid(*self.k_axes, indexing="ij", sparse=True)
-        unpaired = np.meshgrid(*[np.arange(self.n_axis) == half] * self.dim,
+        k_axes = [k] * (self.dim - 1) + [k[:half + 1]]
+        kmesh = np.meshgrid(*k_axes, indexing="ij", sparse=True)
+        unpaired = np.meshgrid(*[np.arange(len(ka)) == half for ka in k_axes],
                                indexing="ij", sparse=True)
-        k2 = np.zeros(self.shape)
-        nyquist = np.zeros(self.shape, dtype=bool)
-        for kj, uj in zip(kmesh, unpaired):
-            k2 = k2 + kj**2
-            nyquist = nyquist | uj
-        k2.setflags(write=False)
-        nyquist.setflags(write=False)
-        self.k_squared = k2
-        # Fourier-index mask of the unpaired highest-mode planes of all axes
-        self.nyquist = nyquist
-        self._k_mesh = kmesh
+        self._ik = [1j * kj for kj in kmesh]
+        k2 = sum(kj**2 for kj in kmesh)
+        inv_k2 = np.zeros_like(k2)
+        np.divide(1.0, k2, out=inv_k2, where=k2 > 0)
+        nyquist = functools.reduce(np.logical_or, unpaired)
+        for arr in (*self._ik, k2, inv_k2, nyquist):
+            arr.setflags(write=False)
+        self._k2 = k2
+        self._inv_k2 = inv_k2
+        self._nyquist_half = nyquist
+        # interior last-axis entries stand for a conjugate pair of modes
+        weight = np.full(half + 1, 2.0)
+        weight[[0, half]] = 1.0
+        weight.setflags(write=False)
+        self._pair_weight = weight
+
+    @functools.cached_property
+    def nyquist(self):
+        """Read-only boolean mask, over the full Fourier index space, of the
+        unpaired highest-mode planes of all axes."""
+        half = self.n_axis // 2
+        planes = np.meshgrid(*[np.arange(self.n_axis) == half] * self.dim,
+                             indexing="ij", sparse=True)
+        mask = functools.reduce(np.logical_or, planes)
+        mask.setflags(write=False)
+        return mask
 
     def phase(self, kvec):
         """Phase ``sum_j (2 pi / length) k_j x_j`` of the integer wavevector
@@ -155,11 +182,16 @@ class SymTensorField:
 # ------------------------------------------------------------------ calculus
 
 
+def _to_real(grid, hat):
+    """Inverse of ``np.fft.rfftn`` onto the grid."""
+    return np.fft.irfftn(hat, s=grid.shape, axes=range(grid.dim))
+
+
 def _grad_values(grid, values):
-    hat = np.fft.fftn(values)
+    hat = np.fft.rfftn(values)
     out = np.empty((grid.dim,) + grid.shape)
-    for j, kj in enumerate(grid._k_mesh):
-        out[j] = np.fft.ifftn(1j * kj * hat).real
+    for j, ikj in enumerate(grid._ik):
+        out[j] = _to_real(grid, ikj * hat)
     return out
 
 
@@ -167,19 +199,23 @@ def gradient(u):
     return VectorField(u.grid, _grad_values(u.grid, u.values))
 
 
-def _div_values(grid, comps):
-    out = np.zeros(grid.shape)
-    for j, kj in enumerate(grid._k_mesh):
-        out = out + np.fft.ifftn(1j * kj * np.fft.fftn(comps[j])).real
-    return out
+def _div_hat(grid, hats):
+    """Half spectrum of ``sum_j d_j v_j`` from the half spectra of the v_j."""
+    terms = zip(grid._ik, hats, strict=True)
+    ik0, hat0 = next(terms)
+    acc = ik0 * hat0
+    for ikj, hat in terms:
+        acc += ikj * hat
+    return acc
 
 
 def divergence(v):
-    return ScalarField(v.grid, _div_values(v.grid, v.values))
+    hats = map(np.fft.rfftn, v.values)
+    return ScalarField(v.grid, _to_real(v.grid, _div_hat(v.grid, hats)))
 
 
 def _lap_values(grid, values):
-    return np.fft.ifftn(grid.k_squared * np.fft.fftn(values)).real
+    return _to_real(grid, grid._k2 * np.fft.rfftn(values))
 
 
 def laplacian(u):
@@ -187,29 +223,47 @@ def laplacian(u):
     return ScalarField(u.grid, _lap_values(u.grid, u.values))
 
 
+def _cdev_values(grid, w_vals):
+    """Entries of the trace-free symmetrized derivative; each of the
+    dim*(dim+1)/2 unique entries is summed in Fourier space and inverted once."""
+    hats = [np.fft.rfftn(c) for c in w_vals]
+    div = _div_hat(grid, hats)
+    div *= 2.0 / grid.dim
+    out = np.empty((grid.dim, grid.dim) + grid.shape)
+    for i, iki in enumerate(grid._ik):
+        for j in range(i, grid.dim):
+            entry = iki * hats[j] + grid._ik[j] * hats[i]
+            if i == j:
+                entry -= div
+            out[i, j] = _to_real(grid, entry)
+            out[j, i] = out[i, j]
+    return out
+
+
 def conformal_killing(w):
     """Trace-free symmetrized derivative of a vector field.
 
     ``S_ij = d_i w_j + d_j w_i - (2/dim) div(w) delta_ij``.
     """
-    g = w.grid
-    partial = np.empty((g.dim, g.dim) + g.shape)
-    for j in range(g.dim):
-        partial[:, j] = _grad_values(g, w.values[j])  # partial[i, j] = d_i w_j
-    div = np.trace(partial, axis1=0, axis2=1)
-    s = partial + partial.swapaxes(0, 1)
-    for i in range(g.dim):
-        s[i, i] -= (2.0 / g.dim) * div
-    return SymTensorField(g, s)
+    return SymTensorField(w.grid, _cdev_values(w.grid, w.values))
+
+
+def _tensor_div_values(grid, s_vals):
+    """Row divergence of a symmetric tensor from its upper triangle alone."""
+    hats = {}
+    for i in range(grid.dim):
+        for j in range(i, grid.dim):
+            hats[i, j] = hats[j, i] = np.fft.rfftn(s_vals[i, j])
+    out = np.empty((grid.dim,) + grid.shape)
+    for j in range(grid.dim):
+        row = (hats[i, j] for i in range(grid.dim))
+        out[j] = _to_real(grid, _div_hat(grid, row))
+    return out
 
 
 def tensor_divergence(s):
     """Row divergence of a symmetric tensor: out_j = sum_i d_i S_ij."""
-    g = s.grid
-    out = np.empty((g.dim,) + g.shape)
-    for j in range(g.dim):
-        out[j] = _div_values(g, s.values[:, j])
-    return VectorField(g, out)
+    return VectorField(s.grid, _tensor_div_values(s.grid, s.values))
 
 
 def lame(w):
@@ -227,17 +281,14 @@ def lame_invert(x):
     """
     g = x.grid
     beta = 1.0 - 2.0 / g.dim
-    hat = np.array([np.fft.fftn(c) for c in x.values])
-    k2 = g.k_squared
-    inv = np.zeros(g.shape)
-    np.divide(1.0, k2, out=inv, where=k2 > 0)
-    kdot = np.zeros(g.shape, dtype=complex)
-    for j, kj in enumerate(g._k_mesh):
-        kdot = kdot + kj * hat[j]
-    coef = (beta / (1.0 + beta)) * kdot * inv * inv
+    hats = [np.fft.rfftn(c) for c in x.values]
+    # k_j (k . x) = -(i k_j)(i k . x): the rank-one term is the gradient of
+    # the divergence
+    coef = _div_hat(g, hats)
+    coef *= (beta / (1.0 + beta)) * g._inv_k2 * g._inv_k2
     out = np.empty((g.dim,) + g.shape)
-    for j, kj in enumerate(g._k_mesh):
-        out[j] = np.fft.ifftn(-hat[j] * inv + kj * coef).real
+    for j, ikj in enumerate(g._ik):
+        out[j] = _to_real(g, -(hats[j] * g._inv_k2 + ikj * coef))
     return VectorField(g, out)
 
 
@@ -271,13 +322,14 @@ def l2_norm(field):
 def c2_surrogate(u):
     """Cheap stand-in for a C^2 norm: sup|u| + sup|grad u| + sup|Hess u|."""
     g = u.grid
-    gv = _grad_values(g, u.values)
+    hat = np.fft.rfftn(u.values)
+    grad_sq = np.zeros(g.shape)
     hess_sup = 0.0
-    for j in range(g.dim):
-        hess_sup = max(hess_sup, np.abs(_grad_values(g, gv[j])).max())
-    return float(np.abs(u.values).max()
-                 + np.sqrt(np.sum(gv**2, axis=0)).max()
-                 + hess_sup)
+    for i, iki in enumerate(g._ik):
+        grad_sq += _to_real(g, iki * hat) ** 2
+        for ikj in g._ik[i:]:
+            hess_sup = max(hess_sup, np.abs(_to_real(g, iki * ikj * hat)).max())
+    return float(np.abs(u.values).max() + np.sqrt(grad_sq.max()) + hess_sup)
 
 
 # --------------------------------------------------------------- linear solve
@@ -328,42 +380,40 @@ def solve_scalar_linear(grid, h, drift, rhs, tol=1e-12):
 
     if h_const and bv is None:
         h0 = float(hv.flat[0])
-        rhat = np.fft.fftn(rhs.values)
+        rhat = np.fft.rfftn(rhs.values)
         if h0 == 0.0:
             mean_defect = abs(rhat.flat[0]) / rhs.values.size
             if mean_defect > 1e-13 * scale:
                 raise SingularOperator(
                     "operator has no zeroth-order term and the right side "
                     f"has mean {mean_defect:.3e}")
-            inv = np.zeros(grid.shape)
-            np.divide(1.0, grid.k_squared, out=inv, where=grid.k_squared > 0)
-            return ScalarField(grid, np.fft.ifftn(rhat * inv).real)
-        denom = grid.k_squared + h0
+            return ScalarField(grid, _to_real(grid, rhat * grid._inv_k2))
+        denom = grid._k2 + h0
         if np.abs(denom).min() < 1e-12 * (1.0 + abs(h0)):
             raise SingularOperator(
                 f"constant coefficient {h0} resonates with a Fourier mode")
-        return ScalarField(grid, np.fft.ifftn(rhat / denom).real)
+        return ScalarField(grid, _to_real(grid, rhat / denom))
 
     from scipy.sparse.linalg import LinearOperator, gmres
 
     n_total = rhs.values.size
-    kmesh = grid._k_mesh
 
     def apply_op(flat):
         u = flat.reshape(grid.shape)
-        hat = np.fft.fftn(u)
-        out = np.fft.ifftn(grid.k_squared * hat).real + hv * u
+        hat = np.fft.rfftn(u)
+        out = _to_real(grid, grid._k2 * hat)
+        out += hv * u
         if bv is not None:
-            for j, kj in enumerate(kmesh):
-                out += bv[j] * np.fft.ifftn(1j * kj * hat).real
+            for j, ikj in enumerate(grid._ik):
+                out += bv[j] * _to_real(grid, ikj * hat)
         return out.ravel()
 
     shift = max(float(np.mean(hv)), 1e-2)
-    pre_denom = grid.k_squared + shift
+    pre_denom = grid._k2 + shift
 
     def apply_pre(flat):
         r = flat.reshape(grid.shape)
-        return np.fft.ifftn(np.fft.fftn(r) / pre_denom).real.ravel()
+        return _to_real(grid, np.fft.rfftn(r) / pre_denom).ravel()
 
     a_op = LinearOperator((n_total, n_total), matvec=apply_op, dtype=np.float64)
     m_op = LinearOperator((n_total, n_total), matvec=apply_pre, dtype=np.float64)

@@ -24,6 +24,9 @@ from .errors import ContractionViolated, NonConvergence, NonPositiveField
 from .grid import (
     ScalarField,
     VectorField,
+    _cdev_values,
+    _tensor_div_values,
+    _to_real,
     conformal_killing,
     divergence,
     gradient,
@@ -80,24 +83,20 @@ def _project_solvable(grid, comps, measure=False):
     out = np.empty_like(comps)
     removed = 0.0
     for j in range(grid.dim):
-        hat = np.fft.fftn(comps[j])
+        hat = np.fft.rfftn(comps[j])
         if measure:
             kept = hat.copy()
-        hat[grid.nyquist] = 0.0
+        hat[grid._nyquist_half] = 0.0
         hat[(0,) * grid.dim] = 0.0
-        out[j] = np.fft.ifftn(hat).real
+        out[j] = _to_real(grid, hat)
         if measure:
-            removed = max(removed, np.abs(np.fft.ifftn(kept - hat).real).max())
+            removed = max(removed, np.abs(_to_real(grid, kept - hat)).max())
     return out, removed
 
 
 def _apply_operator(rho3, w_vals):
     g = rho3.grid
-    flux = rho3.values * conformal_killing(VectorField(g, w_vals)).values
-    out = np.empty_like(w_vals)
-    for j in range(g.dim):
-        out[j] = divergence(VectorField(g, flux[:, j])).values
-    return out
+    return _tensor_div_values(g, rho3.values * _cdev_values(g, w_vals))
 
 
 def estimate_C1(grid, seed=0, n_probes=32):

@@ -21,7 +21,6 @@ from .grid import (
     ScalarField,
     VectorField,
     gradient,
-    l2_norm,
     laplacian,
     solve_scalar_linear,
 )
@@ -103,11 +102,11 @@ def _starting_block(grid, m):
 
 def _unpaired_fraction(grid, vals):
     """L2 fraction of a field living on the unpaired-highest-mode planes."""
-    hat = np.fft.fftn(vals)
-    total = float(np.sqrt((np.abs(hat) ** 2).sum()))
+    power = grid._pair_weight * np.abs(np.fft.rfftn(vals)) ** 2
+    total = float(np.sqrt(power.sum()))
     if total == 0.0:
         return 0.0
-    return float(np.sqrt((np.abs(hat[grid.nyquist]) ** 2).sum())) / total
+    return float(np.sqrt(power[grid._nyquist_half].sum())) / total
 
 
 def smallest_eigenvalue(op, tol=5e-9, max_iter=800, block=6):

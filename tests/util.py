@@ -8,6 +8,7 @@ from driftsolve.grid import GridSpec, ScalarField, SymTensorField, VectorField
 
 
 def mesh(grid):
+    """Full coordinate arrays of the grid points, one per axis."""
     return np.meshgrid(*grid.x_axes, indexing="ij")
 
 
@@ -15,14 +16,20 @@ def const_s(grid, value):
     return ScalarField(grid, np.full(grid.shape, float(value)))
 
 
+def _axis_phase(grid, axis, mode):
+    kvec = np.zeros(grid.dim, dtype=int)
+    kvec[axis] = mode
+    return grid.phase(kvec)
+
+
 def sin_s(grid, axis=0, amp=1.0, offset=0.0, mode=1):
-    x = mesh(grid)
-    return ScalarField(grid, offset + amp * np.sin(mode * x[axis]) + np.zeros(grid.shape))
+    phase = _axis_phase(grid, axis, mode)
+    return ScalarField(grid, offset + amp * np.sin(phase) + np.zeros(grid.shape))
 
 
 def cos_s(grid, axis=0, amp=1.0, offset=0.0, mode=1):
-    x = mesh(grid)
-    return ScalarField(grid, offset + amp * np.cos(mode * x[axis]) + np.zeros(grid.shape))
+    phase = _axis_phase(grid, axis, mode)
+    return ScalarField(grid, offset + amp * np.cos(phase) + np.zeros(grid.shape))
 
 
 def zero_v(grid):
@@ -47,14 +54,13 @@ def zero_t(grid):
 
 
 def random_band_limited(grid, rng, amp=1.0, kmax=2):
-    """Smooth random scalar: a few low Fourier modes, zero mean."""
+    """Smooth random periodic scalar: a few low Fourier modes, zero mean."""
     vals = np.zeros(grid.shape)
-    x = mesh(grid)
     for _ in range(6):
         kvec = rng.integers(-kmax, kmax + 1, size=grid.dim)
         if not np.any(kvec):
             continue
-        phase = sum(kvec[j] * x[j] for j in range(grid.dim))
+        phase = grid.phase(kvec)
         vals = vals + rng.normal() * np.cos(phase) + rng.normal() * np.sin(phase)
     scale = np.abs(vals).max()
     if scale > 0:
