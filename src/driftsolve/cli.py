@@ -258,7 +258,7 @@ def _run_eigen(cfg, grid, report, out_dir, dump):
     coeffs = _coeffs_from(grid, sec)
     op = linearize(u, coeffs)
     lam, phi = smallest_eigenvalue(op)
-    resid = l2_norm(ScalarField(grid, _apply(op, phi) - lam * phi.values))
+    resid = l2_norm(ScalarField(grid, _apply(op, phi.values) - lam * phi.values))
     report["eigen"] = {
         "lambda0": float(lam),
         "certificate_residual": float(resid / l2_norm(phi)),

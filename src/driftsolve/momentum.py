@@ -79,15 +79,19 @@ class KernelReport:
 
 
 def _project_solvable(grid, comps, measure=False):
-    """Zero the mean and the unpaired-mode planes of each component."""
+    """Zero the mean and the unpaired-mode planes of each component.
+
+    With ``measure`` also returns the sup norm of the largest removed
+    unpaired-mode content, the mean left out; otherwise 0.
+    """
     out = np.empty_like(comps)
     removed = 0.0
     for j in range(grid.dim):
         hat = np.fft.rfftn(comps[j])
+        hat[(0,) * grid.dim] = 0.0
         if measure:
             kept = hat.copy()
         hat[grid._nyquist_half] = 0.0
-        hat[(0,) * grid.dim] = 0.0
         out[j] = _to_real(grid, hat)
         if measure:
             removed = max(removed, np.abs(_to_real(grid, kept - hat)).max())

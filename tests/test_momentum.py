@@ -96,6 +96,15 @@ def test_solve_lame_projects_kernel_component():
     assert np.abs(k1.defect).max() <= 1e-15
 
 
+def test_solve_lame_mean_is_not_unresolved():
+    g = GridSpec(dim=3, n_axis=16)
+    x = vec_with(g, 0, sin_s(g, axis=0, offset=0.5))
+    _, kernel = solve_lame(MomentumProblem(const_s(g, 1.0), x))
+    assert kernel.unresolved <= 1e-15  # roundoff; the mean (0.5) is not counted
+    assert kernel.projected is True
+    assert kernel.defect == pytest.approx([0.5, 0.0, 0.0], abs=1e-14)
+
+
 def test_solve_lame_variable_coefficient_contract():
     g = GridSpec(dim=3, n_axis=32)
     rho3 = sin_s(g, axis=1, amp=0.1, offset=1.0)

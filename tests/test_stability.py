@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from driftsolve.grid import GridSpec, ScalarField, l2_norm, laplacian, gradient
+from driftsolve.errors import NonConvergence
+from driftsolve.grid import GridSpec, ScalarField, VectorField, l2_norm, laplacian, gradient
 from driftsolve.scalar import LichCoefficients
 from driftsolve.stability import (
     LinearizedOperator,
@@ -15,7 +16,15 @@ from driftsolve.stability import (
 )
 
 import oracles
-from util import const_s, const_v, mesh, sin_s, zero_v
+from util import (
+    const_s,
+    const_v,
+    mesh,
+    random_band_limited,
+    random_vector,
+    sin_s,
+    zero_v,
+)
 
 
 def constant_coeffs(grid, a=0.5, f=0.5, h=1.0, b=0.0, c=0.0, d=0.0):
@@ -149,6 +158,46 @@ def test_rayleigh_consistency_symmetric_case():
     num = np.mean(np.sum(gphi**2, axis=0)) + np.mean(zeroth.values * phi.values**2)
     den = np.mean(phi.values**2)
     assert lam == pytest.approx(float(num / den), abs=1e-8)
+
+
+def band_limited_drift_operator(seed):
+    g = GridSpec(dim=3, n_axis=16)
+    rng = np.random.default_rng(seed)
+    zeroth = 1.0 + random_band_limited(g, rng, amp=0.5).values
+    first = random_vector(g, rng, amp=0.3).values
+    return LinearizedOperator(zeroth=ScalarField(g, zeroth),
+                              first=VectorField(g, first),
+                              k_lin=max(0.0, -float(zeroth.min())) + 1.0)
+
+
+def test_smallest_eigenvalue_band_limited_drift_certificate():
+    op = band_limited_drift_operator(seed=7)
+    g = op.zeroth.grid
+    tol = 5e-9
+    lam, phi = smallest_eigenvalue(op, tol=tol)
+    action = (laplacian(phi).values + op.zeroth.values * phi.values
+              + np.sum(gradient(phi).values * op.first.values, axis=0))
+    cert = l2_norm(ScalarField(g, action - lam * phi.values)) / l2_norm(phi)
+    assert cert <= tol
+    assert phi.values.min() * phi.values.max() > 0
+
+
+def test_smallest_eigenvalue_nests_no_linear_solve(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("the eigen iteration must not solve linear systems")
+
+    monkeypatch.setattr("driftsolve.grid.solve_scalar_linear", broken)
+    monkeypatch.setattr("driftsolve.stability.solve_scalar_linear", broken,
+                        raising=False)
+    lam, _ = smallest_eigenvalue(band_limited_drift_operator(seed=3))
+    assert np.isfinite(lam)
+
+
+def test_smallest_eigenvalue_budget_counts_iterations():
+    with pytest.raises(NonConvergence) as err:
+        smallest_eigenvalue(band_limited_drift_operator(seed=5), max_iter=1)
+    assert err.value.iterations == 1
+    assert np.isfinite(err.value.residual)
 
 
 # ---------------------------------------------------------------- coercivity
