@@ -2,7 +2,7 @@
 
 Usage::
 
-    driftsolve <mode> --config <path> [--out <dir>] [--seed <int>]
+    driftsolve <mode> --config <path> --out <dir>
 
 Modes: solve-scalar, solve-momentum, solve-coupled, check-hypotheses,
 eigen, verify, map-physical.  Exit codes: 0 success, 1 malformed
@@ -40,6 +40,7 @@ from .grid import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _scalar_op_values,
     l2_norm,
     sup_norm,
 )
@@ -52,7 +53,7 @@ from .physical import (
     solve_drift_momentum,
 )
 from .scalar import LichCoefficients, find_supersolution, monotone_iterate, scalar_residual
-from .stability import _apply, linearize, smallest_eigenvalue
+from .stability import linearize, smallest_eigenvalue
 from .verify import check_model_profile
 
 MODES = ("solve-scalar", "solve-momentum", "solve-coupled",
@@ -258,7 +259,8 @@ def _run_eigen(cfg, grid, report, out_dir, dump):
     coeffs = _coeffs_from(grid, sec)
     op = linearize(u, coeffs)
     lam, phi = smallest_eigenvalue(op)
-    resid = l2_norm(ScalarField(grid, _apply(op, phi.values) - lam * phi.values))
+    action = _scalar_op_values(grid, op.zeroth.values, op.first.values, phi.values)
+    resid = l2_norm(ScalarField(grid, action - lam * phi.values))
     report["eigen"] = {
         "lambda0": float(lam),
         "certificate_residual": float(resid / l2_norm(phi)),
@@ -332,7 +334,6 @@ def main(argv=None):
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--seed", type=int, default=0)
     try:
         args = parser.parse_args(argv)
     except SystemExit:
@@ -357,7 +358,6 @@ def main(argv=None):
     report = {
         "mode": args.mode,
         "status": "ok",
-        "seed": int(args.seed),
         "version": __version__,
         "config": cfg,
     }

@@ -36,10 +36,10 @@ from .grid import (
 from .momentum import MomentumProblem, _apply_operator, momentum_rhs, solve_lame
 from .scalar import (
     LichCoefficients,
+    _residual_values,
     find_supersolution,
     monotone_iterate,
     pick_epsilon0,
-    scalar_residual,
 )
 from .stability import coercivity_eigenvalue, linearize, smallest_eigenvalue
 
@@ -118,21 +118,6 @@ def effective_a(sys, w):
     return ScalarField(w.grid, sys.rho1.values + np.sum(mix**2, axis=(0, 1)))
 
 
-def effective_scalar_coefficients(sys, w):
-    """Scalar-equation coefficients once the vector unknown is frozen.
-
-    Built without the solver-side positivity validation: the effective
-    zero-order coefficient of an arbitrary state may be sign-indefinite,
-    and this path only evaluates residuals.  The fixed-point driver
-    constructs validated coefficients separately.
-    """
-    coeffs = object.__new__(LichCoefficients)
-    for name, val in (("a", effective_a(sys, w)), ("b", sys.b), ("c", sys.c),
-                      ("d", sys.d), ("f", sys.f), ("h", sys.h), ("Y", sys.Y)):
-        setattr(coeffs, name, val)
-    return coeffs
-
-
 def _vector_rhs(sys, u):
     if sys.rhs_mode == "zero":
         return None
@@ -146,14 +131,16 @@ def system_residual(u, w, sys):
 
     The vector equation is only solvable up to kernel content, so its
     residual compares against the componentwise-mean-free part of the
-    source; constant shifts of ``w`` therefore leave it unchanged.
+    source; constant shifts of ``w`` therefore leave it unchanged.  The
+    scalar residual takes the realized ``a`` as it is, of either sign.
 
     Returns
     -------
     (ScalarField, VectorField)
     """
     g = u.grid
-    rs = scalar_residual(u, effective_scalar_coefficients(sys, w))
+    a = effective_a(sys, w).values
+    rs = ScalarField(g, _residual_values(g, u.values, a, sys))
     div_flux = _apply_operator(sys.rho3, w.values)
     source = _vector_rhs(sys, u)
     if source is not None:

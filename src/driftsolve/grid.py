@@ -27,6 +27,11 @@ Fourier space before a single inverse transform, and symmetric tensors are
 transformed only on their upper triangle.  The vector operator
 ``div(rho3 cdev W)`` thus costs ``2 dim + dim (dim + 1)`` transforms per
 apply: 18, 28 and 40 in dims 3, 4 and 5.
+
+Solver loops work on arrays: ``_scalar_op_values`` is the one kernel of
+``lap u + h u + <grad u, drift>`` (linear solve, eigen iteration and its
+certificate), and ``_lap_grad_values`` gives an array's Laplacian and
+gradient from one forward transform.
 """
 
 from __future__ import annotations
@@ -187,8 +192,7 @@ def _to_real(grid, hat):
     return np.fft.irfftn(hat, s=grid.shape, axes=range(grid.dim))
 
 
-def _grad_values(grid, values):
-    hat = np.fft.rfftn(values)
+def _grad_of_hat(grid, hat):
     out = np.empty((grid.dim,) + grid.shape)
     for j, ikj in enumerate(grid._ik):
         out[j] = _to_real(grid, ikj * hat)
@@ -196,7 +200,7 @@ def _grad_values(grid, values):
 
 
 def gradient(u):
-    return VectorField(u.grid, _grad_values(u.grid, u.values))
+    return VectorField(u.grid, _grad_of_hat(u.grid, np.fft.rfftn(u.values)))
 
 
 def _div_hat(grid, hats):
@@ -221,6 +225,24 @@ def _lap_values(grid, values):
 def laplacian(u):
     """Positive Laplacian: Fourier symbol +|k|^2."""
     return ScalarField(u.grid, _lap_values(u.grid, u.values))
+
+
+def _lap_grad_values(grid, values):
+    """Laplacian and gradient of a grid array from one forward transform."""
+    hat = np.fft.rfftn(values)
+    return _to_real(grid, grid._k2 * hat), _grad_of_hat(grid, hat)
+
+
+def _scalar_op_values(grid, h, drift, u):
+    """``lap u + h u + <grad u, drift>`` on grid arrays from one forward
+    transform; ``drift`` is None when there is no first-order term."""
+    hat = np.fft.rfftn(u)
+    out = _to_real(grid, grid._k2 * hat)
+    out += h * u
+    if drift is not None:
+        for bj, ikj in zip(drift, grid._ik, strict=True):
+            out += bj * _to_real(grid, ikj * hat)
+    return out
 
 
 def _cdev_values(grid, w_vals):
@@ -399,14 +421,7 @@ def solve_scalar_linear(grid, h, drift, rhs, tol=1e-12):
     n_total = rhs.values.size
 
     def apply_op(flat):
-        u = flat.reshape(grid.shape)
-        hat = np.fft.rfftn(u)
-        out = _to_real(grid, grid._k2 * hat)
-        out += hv * u
-        if bv is not None:
-            for j, ikj in enumerate(grid._ik):
-                out += bv[j] * _to_real(grid, ikj * hat)
-        return out.ravel()
+        return _scalar_op_values(grid, hv, bv, flat.reshape(grid.shape)).ravel()
 
     shift = max(float(np.mean(hv)), 1e-2)
     pre_denom = grid._k2 + shift

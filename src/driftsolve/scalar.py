@@ -31,7 +31,9 @@ from .errors import (
     NotASupersolution,
     SolverError,
 )
-from .grid import ScalarField, VectorField, gradient, laplacian, solve_scalar_linear
+from .grid import ScalarField, VectorField, _lap_grad_values, _lap_values, solve_scalar_linear
+
+_MAX_NEWTON = 50  # Newton steps allowed to one frozen sweep problem
 
 
 @dataclass
@@ -56,21 +58,25 @@ class LichCoefficients:
             raise NonPositiveField(f"coefficient f must be > 0, min {self.f.values.min()}")
 
 
+def _residual_values(grid, uv, a, coeffs):
+    """Equation residual at the positive grid array ``uv`` for the array ``a``
+    (of either sign) and ``b c d f h Y`` from any object carrying them."""
+    if uv.min() <= 0:
+        raise NonPositiveField(f"residual needs u > 0, min {uv.min()}")
+    q = grid.q
+    lap, grad = _lap_grad_values(grid, uv)
+    s = np.sum(grad * coeffs.Y.values, axis=0)
+    return (lap + coeffs.h.values * uv
+            - coeffs.f.values * uv ** (q - 1.0)
+            - a * uv ** (-q - 1.0)
+            + coeffs.b.values / uv
+            + s**2 * uv ** (-q - 3.0)
+            + coeffs.c.values * s * (coeffs.d.values * uv**-2 + uv ** (-q - 2.0)))
+
+
 def scalar_residual(u, coeffs):
     """Evaluate the equation residual at a positive field ``u``."""
-    if u.values.min() <= 0:
-        raise NonPositiveField(f"residual needs u > 0, min {u.values.min()}")
-    g = u.grid
-    q = g.q
-    uv = u.values
-    s = np.sum(gradient(u).values * coeffs.Y.values, axis=0)
-    r = (laplacian(u).values + coeffs.h.values * uv
-         - coeffs.f.values * uv ** (q - 1.0)
-         - coeffs.a.values * uv ** (-q - 1.0)
-         + coeffs.b.values / uv
-         + s**2 * uv ** (-q - 3.0)
-         + coeffs.c.values * s * (coeffs.d.values * uv**-2 + uv ** (-q - 2.0)))
-    return ScalarField(g, r)
+    return ScalarField(u.grid, _residual_values(u.grid, u.values, coeffs.a.values, coeffs))
 
 
 # --------------------------------------------------------------- lower barrier
@@ -148,39 +154,38 @@ class GenEqData:
 
 
 def _gen_eq_residual(data, uv):
-    g = data.H.grid
-    u = ScalarField(g, uv)
-    out = laplacian(u).values + data.H.values * uv + data.th3.values
-    if np.any(data.Z.values):
-        s = np.sum(gradient(u).values * data.Z.values, axis=0)
-        out += data.th1.values * s**2 + data.th2.values * s
-    return out
+    """Residual of the frozen sweep problem at the grid array ``uv``, and the
+    ``s = <grad u, Z>`` it was formed from."""
+    lap, grad = _lap_grad_values(data.H.grid, uv)
+    s = np.sum(grad * data.Z.values, axis=0)
+    out = lap + data.H.values * uv + data.th3.values
+    out += data.th1.values * s**2 + data.th2.values * s
+    return out, s
 
 
-def solve_gen_eq(data, u_init, tol=None, max_newton=50):
+def solve_gen_eq(data, u_init):
     """Solve the frozen sweep problem by damped Newton (direct when linear).
 
     With ``Z == 0`` the problem is linear and handled in one solve.
     Otherwise Newton linearizes the gradient terms into a drift
     ``(2 th1 s + th2) Z`` and backtracks on the sup-norm of the residual;
     a damped Picard pass takes over if a Newton step cannot decrease it.
+    The residual target is ``1e-11 max(1, sup|th3|)``; Newton gets at most
+    50 steps.
     """
     g = data.H.grid
-    scale = max(1.0, float(np.abs(data.th3.values).max()))
-    if tol is None:
-        tol = 1e-11 * scale
+    tol = 1e-11 * max(1.0, float(np.abs(data.th3.values).max()))
 
     if not np.any(data.Z.values):
         rhs = ScalarField(g, -data.th3.values)
         return solve_scalar_linear(g, data.H, None, rhs)
 
-    uv = u_init.values.copy()
-    res = _gen_eq_residual(data, uv)
-    for it in range(max_newton):
+    uv = u_init.values
+    res, s = _gen_eq_residual(data, uv)
+    for it in range(_MAX_NEWTON):
         res_sup = np.abs(res).max()
         if res_sup <= tol:
             return ScalarField(g, uv)
-        s = np.sum(gradient(ScalarField(g, uv)).values * data.Z.values, axis=0)
         drift = VectorField(
             g, (2.0 * data.th1.values * s + data.th2.values) * data.Z.values)
         delta = solve_scalar_linear(g, data.H, drift,
@@ -188,27 +193,26 @@ def solve_gen_eq(data, u_init, tol=None, max_newton=50):
         lam, improved = 1.0, False
         for _ in range(12):
             trial = uv + lam * delta
-            res_t = _gen_eq_residual(data, trial)
+            res_t, s_t = _gen_eq_residual(data, trial)
             if np.all(np.isfinite(res_t)) and np.abs(res_t).max() < res_sup:
-                uv, res, improved = trial, res_t, True
+                uv, res, s, improved = trial, res_t, s_t, True
                 break
             lam *= 0.5
         if not improved:
             # damped Picard fallback: refreeze the whole gradient block
             for _ in range(200):
-                s = np.sum(gradient(ScalarField(g, uv)).values * data.Z.values, axis=0)
                 frozen = ScalarField(
                     g, -(data.th1.values * s**2 + data.th2.values * s
                          + data.th3.values))
                 new = solve_scalar_linear(g, data.H, None, frozen).values
                 uv = 0.5 * (uv + new)
-                res = _gen_eq_residual(data, uv)
+                res, s = _gen_eq_residual(data, uv)
                 if np.abs(res).max() <= tol:
                     return ScalarField(g, uv)
             raise NonConvergence("inner gradient-quadratic solve stalled",
                                  iterations=it, residual=float(np.abs(res).max()))
     raise NonConvergence("inner Newton ran out of iterations",
-                         iterations=max_newton, residual=float(np.abs(res).max()))
+                         iterations=_MAX_NEWTON, residual=float(np.abs(res).max()))
 
 
 # -------------------------------------------------------------- outer sweeps
@@ -251,8 +255,9 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
     """
     g = psi.grid
     q = g.q
+    a = coeffs.a.values
     eps0 = pick_epsilon0(psi, coeffs)
-    barrier = scalar_residual(psi, coeffs).values
+    barrier = _residual_values(g, psi.values, a, coeffs)
     if barrier.min() < -1e-8:
         node = np.unravel_index(int(np.argmin(barrier)), g.shape)
         raise NotASupersolution(node, float(barrier.min()))
@@ -265,7 +270,7 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
     for it in range(max_outer):
         th3 = ScalarField(
             g, -coeffs.f.values * uv ** (q - 1.0)
-            - coeffs.a.values * uv ** (-q - 1.0)
+            - a * uv ** (-q - 1.0)
             + coeffs.b.values / uv - K * uv)
         data = GenEqData(
             H=h_shift,
@@ -278,7 +283,7 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
         u = solve_gen_eq(data, u)
         step = float(np.abs(u.values - uv).max())
         uv = u.values
-        resid = float(np.abs(scalar_residual(u, coeffs).values).max())
+        resid = float(np.abs(_residual_values(g, uv, a, coeffs)).max())
         trace.steps.append(step)
         trace.mins.append(float(uv.min()))
         trace.final_residual = resid
@@ -339,8 +344,7 @@ def find_supersolution(h, f, a_tilde):
     uv = np.full(g.shape, best_t)
 
     def reduced_residual(vals):
-        u = ScalarField(g, vals)
-        return (laplacian(u).values + h.values * vals
+        return (_lap_values(g, vals) + h.values * vals
                 - f.values * vals ** (q - 1.0)
                 - a_tilde.values * vals ** (-q - 1.0))
 

@@ -10,8 +10,8 @@ state is still real with a sign-definite eigenfunction, which a block
 preconditioned Davidson iteration recovers and certifies.  Its
 preconditioner is the Fourier symbol ``|k|^2 + mean(zeroth) + k_lin``, a
 diagonal division, so the eigen iteration nests no linear solve.  The
-basis is capped at ``8 * block`` vectors and thick-restarted from the kept
-Ritz vectors when full.
+basis is capped at 48 vectors (eight per kept Ritz pair) and
+thick-restarted from the kept Ritz vectors when full.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, SignIndefiniteEigenfunction
-from .grid import ScalarField, VectorField, _to_real, gradient
+from .grid import ScalarField, VectorField, _scalar_op_values, _to_real, gradient
 
+# Ritz pairs kept and expanded per Davidson iteration
+_BLOCK = 6
 # Davidson basis rows per block column.  A tighter cap restarts too often to
 # split a ground state from an exactly degenerate twin of unpaired-mode
 # content: at 4 or 5, the 8^3 drift operator of the dense-oracle test
@@ -79,18 +81,6 @@ def linearize(u, coeffs):
                               first=VectorField(g, first), k_lin=k_lin)
 
 
-def _apply(op, vals):
-    """The linearized operator on a grid array, from one forward transform."""
-    g = op.zeroth.grid
-    hat = np.fft.rfftn(vals)
-    out = _to_real(g, g._k2 * hat)
-    out += op.zeroth.values * vals
-    if op.first is not None and np.any(op.first.values):
-        for bj, ikj in zip(op.first.values, g._ik, strict=True):
-            out += bj * _to_real(g, ikj * hat)
-    return out
-
-
 def _starting_block(grid, m):
     """Smooth deterministic starting subspace: constant plus single modes.
 
@@ -120,13 +110,13 @@ def _unpaired_fraction(grid, vals):
     return float(np.sqrt(power[grid._nyquist_half].sum())) / total
 
 
-def smallest_eigenvalue(op, tol=5e-9, max_iter=800, block=6):
+def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
     """Ground eigenpair of the linearized operator.
 
     Block preconditioned Davidson iteration.  An orthonormal basis and its
     image under the operator grow from the smooth ``_starting_block``; every
     iteration projects the operator onto the basis and walks the Ritz pairs
-    upward, keeping up to ``block`` acceptable ones.  Two kinds of Ritz pairs
+    upward, keeping up to six acceptable ones.  Two kinds of Ritz pairs
     are rejected: complex pairs, and pairs whose vector carries more than 1%
     unpaired-highest-mode content -- the zeroed derivative symbols make such
     modes artificially cheap, so they can sit below the physical ground
@@ -136,10 +126,10 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800, block=6):
     ``|k|^2 + mean(zeroth) + k_lin`` (at least 1, so no linear solve is
     needed) and orthogonalized by classical Gram-Schmidt run twice.
     Directions already in the basis are dropped.  The basis holds at most
-    ``8 * block`` vectors: when a step would exceed that, it restarts from
-    the kept Ritz vectors, whose images follow by the same combinations.
+    48 vectors: when a step would exceed that, it restarts from the kept
+    Ritz vectors, whose images follow by the same combinations.
     An iteration that finds no acceptable pair grows the basis from the
-    lowest ``block`` Ritz pairs instead.
+    lowest six Ritz pairs instead.
 
     Stops once the eigen-residual ``L phi - lambda phi`` is below ``tol`` in
     L2 relative to ``phi``.  The reported eigenvalue is the final Rayleigh
@@ -159,9 +149,11 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800, block=6):
         If the converged eigenfunction changes sign.
     """
     g = op.zeroth.grid
-    precond = g._k2 + (float(np.mean(op.zeroth.values)) + op.k_lin)
-    cap = _BASIS_PER_BLOCK * block
-    basis = np.empty((cap, op.zeroth.values.size))
+    zeroth = op.zeroth.values
+    drift = op.first.values if op.first is not None and np.any(op.first.values) else None
+    precond = g._k2 + (float(np.mean(zeroth)) + op.k_lin)
+    cap = _BASIS_PER_BLOCK * _BLOCK
+    basis = np.empty((cap, zeroth.size))
     image = np.empty_like(basis)
 
     def grow(m, rows):
@@ -175,11 +167,11 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800, block=6):
             if nrm <= _DROP * size:
                 continue
             basis[m] = t / nrm
-            image[m] = _apply(op, basis[m].reshape(g.shape)).ravel()
+            image[m] = _scalar_op_values(g, zeroth, drift, basis[m].reshape(g.shape)).ravel()
             m += 1
         return m
 
-    m = grow(0, _starting_block(g, block).T)
+    m = grow(0, _starting_block(g, _BLOCK).T)
     resid = np.inf
     for _ in range(max_iter):
         ritz_vals, ritz_vecs = np.linalg.eig(basis[:m] @ image[:m].T)
@@ -192,18 +184,18 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800, block=6):
             if _unpaired_fraction(g, vec.reshape(g.shape)) > 0.01:
                 continue
             picks.append(i)
-            if len(picks) == block:
+            if len(picks) == _BLOCK:
                 break
         accepted = bool(picks)
         if not accepted:
-            picks = order[:block]
+            picks = order[:_BLOCK]
         coef = ritz_vecs[:, picks].real
         thetas = ritz_vals[picks].real
         vecs = coef.T @ basis[:m]
         resids = coef.T @ image[:m] - thetas[:, None] * vecs
         if accepted:
             x0 = vecs[0]
-            ax = _apply(op, x0.reshape(g.shape)).ravel()
+            ax = _scalar_op_values(g, zeroth, drift, x0.reshape(g.shape)).ravel()
             lam = float(x0 @ ax / (x0 @ x0))
             resids[0] = ax - lam * x0
             resid = float(np.linalg.norm(resids[0]) / np.linalg.norm(x0))

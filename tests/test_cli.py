@@ -72,20 +72,23 @@ def test_reports_are_deterministic(tmp_path):
     cfg = write_config(tmp_path, scalar_config())
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        assert main(["solve-scalar", "--config", str(cfg),
-                     "--out", str(out), "--seed", "5"]) == 0
+        assert main(["solve-scalar", "--config", str(cfg), "--out", str(out)]) == 0
     r1, r2 = load_report(out1), load_report(out2)
     r1.pop("wall_time_s"), r2.pop("wall_time_s")
     assert r1 == r2
     assert (out1 / "u.dcf").read_bytes() == (out2 / "u.dcf").read_bytes()
 
 
-def test_seed_is_echoed(tmp_path):
-    cfg = write_config(tmp_path, scalar_config())
+def test_report_has_no_seed(tmp_path):
+    cfg = write_config(tmp_path, {
+        "verify": {"f0": 3.0, "dim": 3, "r_max": 10.0, "n_points": 512},
+    })
     out = tmp_path / "out"
-    assert main(["solve-scalar", "--config", str(cfg),
-                 "--out", str(out), "--seed", "7"]) == 0
-    assert load_report(out)["seed"] == 7
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "seed" not in load_report(out)
+    # nothing is seeded, so the option is gone rather than ignored
+    assert main(["verify", "--config", str(cfg), "--out", str(out),
+                 "--seed", "7"]) == 1
 
 
 def test_out_directory_is_created(tmp_path):

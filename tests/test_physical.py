@@ -143,6 +143,19 @@ def test_map_flags_noncoercive_background():
     assert np.all(sys.h.values <= 1e-15)
 
 
+def test_coercive_flag_nonnegative_h_needs_no_eigen_solve(monkeypatch):
+    import driftsolve.physical
+
+    def no_eigen(h):
+        raise AssertionError("eigen check ran for a nonnegative h")
+
+    monkeypatch.setattr(driftsolve.physical, "coercivity_eigenvalue", no_eigen)
+    g = GridSpec(dim=3, n_axis=8)
+    h = ScalarField(g, sin_s(g).values ** 2)
+    assert h.values.min() == 0.0
+    assert driftsolve.physical._coercive_flag(h) == "PASS"
+
+
 def test_map_h_override_keeps_physical_field():
     g = GridSpec(dim=3, n_axis=16)
     psi = sin_s(g, axis=1)
@@ -224,19 +237,25 @@ def test_termwise_identity_with_drift_isolates_one_slot():
 
 
 def test_mapped_terms_sum_to_scalar_residual():
-    from driftsolve.coupled import effective_scalar_coefficients
-    from driftsolve.scalar import scalar_residual
+    from driftsolve.coupled import effective_a, system_residual
 
     g = GridSpec(dim=3, n_axis=8)
     rng = np.random.default_rng(13)
     phys = sample_phys(g, rng, with_drift=True)
     sys, _ = map_parameters(phys)
     u, w = sample_state(g, rng)
-    mapped = mapped_constraint_terms(u, w, sys)
-    total = sum(mapped[s] for s in SLOTS)
-    coeffs = effective_scalar_coefficients(sys, w)
-    res = scalar_residual(u, coeffs)
-    assert np.abs(total - res.values).max() <= 1e-11 * (1.0 + np.abs(total).max())
+    # a state whose realized coefficient a (and rho1) is negative somewhere:
+    # the residual is still evaluated, not rejected
+    shift = float(effective_a(sys, w).values.min()) + 0.1
+    negative = dataclasses.replace(sys, rho1=ScalarField(g, sys.rho1.values - shift))
+    assert negative.rho1.values.min() < 0
+    assert effective_a(negative, w).values.min() < 0
+    for system in (sys, negative):
+        mapped = mapped_constraint_terms(u, w, system)
+        total = sum(mapped[s] for s in SLOTS)
+        res = system_residual(u, w, system)[0].values
+        assert np.all(np.isfinite(res))
+        assert np.abs(total - res).max() <= 1e-11 * (1.0 + np.abs(total).max())
 
 
 # --------------------------------------------------------------- reconstruct

@@ -1,5 +1,7 @@
 """Monotone scalar solver: barrier constants, inner solve, outer iteration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,28 @@ def test_monotone_manufactured_recovery():
             assert np.all(vals >= prev - 1e-12)
         prev = vals
     assert len(iterates) == trace.iterate_count
+
+
+def test_monotone_sweeps_stay_on_arrays(monkeypatch):
+    import driftsolve.grid
+    import driftsolve.scalar
+
+    g = GridSpec(dim=3, n_axis=8)
+    u_star = sin_s(g, amp=0.05, offset=1.0)
+    base = dataclasses.replace(constant_coeffs(g, c=0.3, d=0.2),
+                               Y=const_v(g, (0.4, 0.0, 0.0)))
+    coeffs = with_b(base, manufactured_b(g, u_star, base))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("public field calculus called inside the sweeps")
+
+    for name in ("gradient", "laplacian"):
+        monkeypatch.setattr(driftsolve.grid, name, forbidden)
+        monkeypatch.setattr(driftsolve.scalar, name, forbidden, raising=False)
+    # loose tolerances keep the sweep count small; the sweeps are the same
+    u, trace = monotone_iterate(coeffs, u_star, step_tol=1e-3, tol_outer=1e-2)
+    assert trace.iterate_count > 1
+    assert np.all(u.values <= u_star.values + 1e-9)
 
 
 def test_monotone_ordering_in_a():

@@ -15,6 +15,8 @@ from driftsolve.grid import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _lap_grad_values,
+    _scalar_op_values,
     c2_surrogate,
     conformal_killing,
     divergence,
@@ -97,6 +99,16 @@ def test_scalar_kernels_match_full_spectrum(case):
     mask = _nyquist(grid.dim, grid.n_axis)
     ref_frac = np.sqrt((np.abs(full[mask]) ** 2).sum() / (np.abs(full) ** 2).sum())
     assert _unpaired_fraction(grid, u) == pytest.approx(ref_frac, rel=1e-12)
+
+    lap, grad = _lap_grad_values(grid, u)
+    _close(lap, ref_lap(u, k2))
+    _close(grad, ref_grad(u, k))
+    h = rng.normal(size=grid.shape)
+    drift = rng.normal(size=(grid.dim,) + grid.shape)
+    ref_op = ref_lap(u, k2) + h * u
+    _close(_scalar_op_values(grid, h, None, u), ref_op)
+    _close(_scalar_op_values(grid, h, drift, u),
+           ref_op + np.sum(ref_grad(u, k) * drift, axis=0))
 
 
 def test_vector_kernels_match_full_spectrum(case):
