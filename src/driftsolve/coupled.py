@@ -27,7 +27,9 @@ from .grid import (
     ScalarField,
     SymTensorField,
     VectorField,
-    _to_real,
+    _grad_sq_sum,
+    _lap_of_hat,
+    _rfft,
     c2_surrogate,
     conformal_killing,
     gradient,
@@ -52,7 +54,6 @@ class RhsInputs:
     n_tilde: ScalarField
     pi: ScalarField
     psi: ScalarField
-    half_drift: bool = True
 
 
 @dataclass
@@ -122,8 +123,7 @@ def _vector_rhs(sys, u):
     if sys.rhs_mode == "zero":
         return None
     r = sys.rhs
-    return momentum_rhs(u, r.v_tilde, r.n_tilde, r.pi, r.psi,
-                        half_drift=r.half_drift)
+    return momentum_rhs(u, r.v_tilde, r.n_tilde, r.pi, r.psi)
 
 
 def system_residual(u, w, sys):
@@ -219,8 +219,7 @@ def check_hypotheses(sys, a_tilde):
         for u in _probe_fields(g):
             bound = 1.0 + c2_surrogate(u) ** 2 / float(u.values.min()) ** 2
             c_r = max(c_r, sup_norm(momentum_rhs(
-                u, r.v_tilde, r.n_tilde, r.pi, r.psi,
-                half_drift=r.half_drift)) / bound)
+                u, r.v_tilde, r.n_tilde, r.pi, r.psi)) / bound)
 
     smallness_lhs = (
         _holder_surrogate(sys.b) + _holder_surrogate(sys.Y)
@@ -275,12 +274,11 @@ def estimate_sobolev_constant(h, return_maximizer=False):
     n_pts = hv.size
 
     def form(v, hat):
-        # Parseval on the half spectrum: |grad v|^2 integrates to |k|^2 |hat|^2
-        grad_sq = float(np.sum(g._pair_weight * g._k2 * (hat.real**2 + hat.imag**2)))
+        grad_sq = _grad_sq_sum(g, hat)
         return (grad_sq / n_pts**2 + float(np.mean(hv * v**2))) * g.volume
 
     def normalized(v):
-        hat = np.fft.rfftn(v)
+        hat = _rfft(v)
         scale = 1.0 / np.sqrt(form(v, hat))
         v, hat = v * scale, hat * scale
         num = float(np.mean(np.abs(v) ** q) * g.volume)
@@ -301,7 +299,7 @@ def estimate_sobolev_constant(h, return_maximizer=False):
     best_v = None
     for v0 in starts:
         v, hat, num, den, val = normalized(v0)
-        lap_v = _to_real(g, g._k2 * hat)
+        lap_v = _lap_of_hat(g, hat)
         eta = 0.05
         stall = 0
         for _ in range(_SOBOLEV_STEPS):
@@ -312,7 +310,7 @@ def estimate_sobolev_constant(h, return_maximizer=False):
             if t_val > val:
                 improve = t_val - val
                 v, hat, num, den, val = trial
-                lap_v = _to_real(g, g._k2 * hat)
+                lap_v = _lap_of_hat(g, hat)
                 eta = min(eta * 1.2, 0.5)
                 stall = stall + 1 if improve < 1e-13 * abs(val) else 0
             else:

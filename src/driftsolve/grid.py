@@ -12,21 +12,23 @@ conventions matter everywhere downstream:
   zeroed wavenumbers.  This makes div(grad u) == -laplacian(u) and the
   discrete integration-by-parts identity exact on the full space of real
   grid functions, at the price of the Laplacian (and the vector operator
-  below) annihilating pure Nyquist modes.  Solvers treat those modes as
-  part of the operator kernel and project them out of right-hand sides.
+  below) annihilating pure Nyquist modes.
 
-``GridSpec`` owns both: ``GridSpec.phase`` turns an integer wavevector into
-the phase of its mode and ``GridSpec.nyquist`` marks the unpaired planes.
-
-Every transform is real-to-complex (``np.fft.rfftn``/``irfftn``): fields are
-real, so only the half spectrum of the last axis is computed, and each
-kernel multiplies it by half-spectrum symbols ``GridSpec`` builds once (``i
-k_j`` as sparse meshes, ``|k|^2``, ``1/|k|^2`` with 0 on the kernel, the
-Nyquist planes).  Derivative terms that add up to one output are summed in
-Fourier space before a single inverse transform, and symmetric tensors are
-transformed only on their upper triangle.  The vector operator
-``div(rho3 cdev W)`` thus costs ``2 dim + dim (dim + 1)`` transforms per
-apply: 18, 28 and 40 in dims 3, 4 and 5.
+No other module touches a spectrum.  ``_rfft`` and ``_to_real`` are the one
+transform seam (``np.fft.rfftn``/``irfftn``, real-to-complex: only the half
+spectrum of the last axis is computed).  Kernels multiply half spectra by
+symbols ``GridSpec`` builds once (``i k_j`` as sparse meshes, ``|k|^2``,
+``1/|k|^2``) and by two masks that are different sets: ``_unpaired_half``,
+the unpaired planes, which the Lame solve projects out of its data and the
+eigen iteration measures in Ritz vectors; and ``_kernel_half``, the kernel
+``|k|^2 == 0`` (the mean and the pure unpaired corners, 2^dim entries),
+where ``1/|k|^2`` is 0 and which ``solve_scalar_linear`` without
+lower-order terms refuses in a right side.  Derivative terms that add up
+to one output are summed in Fourier space before a single inverse
+transform, and symmetric tensors are transformed only on their upper
+triangle.  The vector operator ``div(rho3 cdev W)`` thus costs
+``2 dim + dim (dim + 1)`` transforms per apply: 18, 28 and 40 in dims 3,
+4 and 5.
 
 Solver loops work on arrays: ``_scalar_op_values`` is the one kernel of
 ``lap u + h u + <grad u, drift>`` (linear solve, eigen iteration and its
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergence, SingularOperator
 
-_DEFAULT_MEMORY_BUDGET = 2**32
+_MEMORY_BUDGET = 2**32  # bytes one scalar field may take
 
 
 class GridSpec:
@@ -56,23 +58,19 @@ class GridSpec:
         Points per axis; a power of two, at least 8.
     length : float, optional
         Period of every axis.  Defaults to 2*pi.
-    memory_budget : int, optional
-        Upper bound in bytes for a single scalar field; guards against
-        accidentally huge allocations.
     """
 
-    def __init__(self, dim, n_axis, length=2.0 * np.pi,
-                 memory_budget=_DEFAULT_MEMORY_BUDGET):
+    def __init__(self, dim, n_axis, length=2.0 * np.pi):
         if dim not in (3, 4, 5):
             raise ConfigError(f"dim must be 3, 4, or 5, got {dim}")
         if n_axis < 8 or (n_axis & (n_axis - 1)) != 0:
             raise ConfigError(f"n_axis must be a power of two >= 8, got {n_axis}")
         if not (length > 0):
             raise ConfigError(f"length must be positive, got {length}")
-        if 8 * n_axis**dim > memory_budget:
+        if 8 * n_axis**dim > _MEMORY_BUDGET:
             raise ConfigError(
                 f"a {n_axis}^{dim} field needs {8 * n_axis**dim} bytes, "
-                f"over the budget of {memory_budget}")
+                f"over the budget of {_MEMORY_BUDGET}")
         self.dim = int(dim)
         self.n_axis = int(n_axis)
         self.length = float(length)
@@ -89,38 +87,30 @@ class GridSpec:
         # Half-spectrum symbols: real-to-complex transforms keep the last
         # axis's non-negative frequencies 0..n/2, every other axis whole.
         half = self.n_axis // 2
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n_axis, d=step)
+        freq = (np.arange(self.n_axis) + half) % self.n_axis - half  # FFT order
+        k = 2.0 * np.pi * (freq * (1.0 / (self.n_axis * step)))
         k[half] = 0.0  # unpaired mode carries no first derivative
         k_axes = [k] * (self.dim - 1) + [k[:half + 1]]
         kmesh = np.meshgrid(*k_axes, indexing="ij", sparse=True)
-        unpaired = np.meshgrid(*[np.arange(len(ka)) == half for ka in k_axes],
-                               indexing="ij", sparse=True)
+        planes = np.meshgrid(*[np.arange(len(ka)) == half for ka in k_axes],
+                             indexing="ij", sparse=True)
         self._ik = [1j * kj for kj in kmesh]
         k2 = sum(kj**2 for kj in kmesh)
+        kernel = k2 == 0
         inv_k2 = np.zeros_like(k2)
-        np.divide(1.0, k2, out=inv_k2, where=k2 > 0)
-        nyquist = functools.reduce(np.logical_or, unpaired)
-        for arr in (*self._ik, k2, inv_k2, nyquist):
+        np.divide(1.0, k2, out=inv_k2, where=~kernel)
+        unpaired = functools.reduce(np.logical_or, planes)
+        for arr in (*self._ik, k2, inv_k2, kernel, unpaired):
             arr.setflags(write=False)
         self._k2 = k2
         self._inv_k2 = inv_k2
-        self._nyquist_half = nyquist
+        self._kernel_half = kernel
+        self._unpaired_half = unpaired
         # interior last-axis entries stand for a conjugate pair of modes
         weight = np.full(half + 1, 2.0)
         weight[[0, half]] = 1.0
         weight.setflags(write=False)
         self._pair_weight = weight
-
-    @functools.cached_property
-    def nyquist(self):
-        """Read-only boolean mask, over the full Fourier index space, of the
-        unpaired highest-mode planes of all axes."""
-        half = self.n_axis // 2
-        planes = np.meshgrid(*[np.arange(self.n_axis) == half] * self.dim,
-                             indexing="ij", sparse=True)
-        mask = functools.reduce(np.logical_or, planes)
-        mask.setflags(write=False)
-        return mask
 
     def phase(self, kvec):
         """Phase ``sum_j (2 pi / length) k_j x_j`` of the integer wavevector
@@ -144,7 +134,7 @@ class GridSpec:
         return f"GridSpec(dim={self.dim}, n_axis={self.n_axis}, length={self.length!r})"
 
 
-def _frozen_array(grid, values, shape, kind):
+def _frozen_array(values, shape, kind):
     arr = np.array(values, dtype=np.float64, order="C", copy=True)
     if arr.shape != shape:
         raise ValueError(f"{kind} expects shape {shape}, got {arr.shape}")
@@ -159,7 +149,7 @@ class ScalarField:
 
     def __init__(self, grid, values):
         self.grid = grid
-        self.values = _frozen_array(grid, values, grid.shape, "ScalarField")
+        self.values = _frozen_array(values, grid.shape, "ScalarField")
 
 
 class VectorField:
@@ -167,7 +157,7 @@ class VectorField:
 
     def __init__(self, grid, values):
         self.grid = grid
-        self.values = _frozen_array(grid, values, (grid.dim,) + grid.shape,
+        self.values = _frozen_array(values, (grid.dim,) + grid.shape,
                                     "VectorField")
 
 
@@ -176,7 +166,7 @@ class SymTensorField:
 
     def __init__(self, grid, values):
         self.grid = grid
-        arr = _frozen_array(grid, values, (grid.dim, grid.dim) + grid.shape,
+        arr = _frozen_array(values, (grid.dim, grid.dim) + grid.shape,
                             "SymTensorField")
         skew = np.abs(arr - arr.swapaxes(0, 1)).max()
         if skew > 1e-12 * (1.0 + np.abs(arr).max()):
@@ -187,9 +177,18 @@ class SymTensorField:
 # ------------------------------------------------------------------ calculus
 
 
+def _rfft(values):
+    """Half spectrum of a real grid array: the forward side of the seam."""
+    return np.fft.rfftn(values)
+
+
 def _to_real(grid, hat):
-    """Inverse of ``np.fft.rfftn`` onto the grid."""
+    """Inverse of ``_rfft`` onto the grid."""
     return np.fft.irfftn(hat, s=grid.shape, axes=range(grid.dim))
+
+
+def _lap_of_hat(grid, hat):
+    return _to_real(grid, grid._k2 * hat)
 
 
 def _grad_of_hat(grid, hat):
@@ -200,7 +199,7 @@ def _grad_of_hat(grid, hat):
 
 
 def gradient(u):
-    return VectorField(u.grid, _grad_of_hat(u.grid, np.fft.rfftn(u.values)))
+    return VectorField(u.grid, _grad_of_hat(u.grid, _rfft(u.values)))
 
 
 def _div_hat(grid, hats):
@@ -214,12 +213,12 @@ def _div_hat(grid, hats):
 
 
 def divergence(v):
-    hats = map(np.fft.rfftn, v.values)
+    hats = map(_rfft, v.values)
     return ScalarField(v.grid, _to_real(v.grid, _div_hat(v.grid, hats)))
 
 
 def _lap_values(grid, values):
-    return _to_real(grid, grid._k2 * np.fft.rfftn(values))
+    return _lap_of_hat(grid, _rfft(values))
 
 
 def laplacian(u):
@@ -229,15 +228,15 @@ def laplacian(u):
 
 def _lap_grad_values(grid, values):
     """Laplacian and gradient of a grid array from one forward transform."""
-    hat = np.fft.rfftn(values)
-    return _to_real(grid, grid._k2 * hat), _grad_of_hat(grid, hat)
+    hat = _rfft(values)
+    return _lap_of_hat(grid, hat), _grad_of_hat(grid, hat)
 
 
 def _scalar_op_values(grid, h, drift, u):
     """``lap u + h u + <grad u, drift>`` on grid arrays from one forward
     transform; ``drift`` is None when there is no first-order term."""
-    hat = np.fft.rfftn(u)
-    out = _to_real(grid, grid._k2 * hat)
+    hat = _rfft(u)
+    out = _lap_of_hat(grid, hat)
     out += h * u
     if drift is not None:
         for bj, ikj in zip(drift, grid._ik, strict=True):
@@ -248,7 +247,7 @@ def _scalar_op_values(grid, h, drift, u):
 def _cdev_values(grid, w_vals):
     """Entries of the trace-free symmetrized derivative; each of the
     dim*(dim+1)/2 unique entries is summed in Fourier space and inverted once."""
-    hats = [np.fft.rfftn(c) for c in w_vals]
+    hats = [_rfft(c) for c in w_vals]
     div = _div_hat(grid, hats)
     div *= 2.0 / grid.dim
     out = np.empty((grid.dim, grid.dim) + grid.shape)
@@ -275,7 +274,7 @@ def _tensor_div_values(grid, s_vals):
     hats = {}
     for i in range(grid.dim):
         for j in range(i, grid.dim):
-            hats[i, j] = hats[j, i] = np.fft.rfftn(s_vals[i, j])
+            hats[i, j] = hats[j, i] = _rfft(s_vals[i, j])
     out = np.empty((grid.dim,) + grid.shape)
     for j in range(grid.dim):
         row = (hats[i, j] for i in range(grid.dim))
@@ -303,7 +302,7 @@ def lame_invert(x):
     """
     g = x.grid
     beta = 1.0 - 2.0 / g.dim
-    hats = [np.fft.rfftn(c) for c in x.values]
+    hats = [_rfft(c) for c in x.values]
     # k_j (k . x) = -(i k_j)(i k . x): the rank-one term is the gradient of
     # the divergence
     coef = _div_hat(g, hats)
@@ -312,6 +311,26 @@ def lame_invert(x):
     for j, ikj in enumerate(g._ik):
         out[j] = _to_real(g, -(hats[j] * g._inv_k2 + ikj * coef))
     return VectorField(g, out)
+
+
+def _project_solvable(grid, comps, measure=False):
+    """Zero the mean and the unpaired planes of each component.
+
+    With ``measure`` also returns the sup norm of the largest removed
+    unpaired-plane content, the mean left out; otherwise 0.
+    """
+    out = np.empty_like(comps)
+    removed = 0.0
+    for j in range(grid.dim):
+        hat = _rfft(comps[j])
+        hat[(0,) * grid.dim] = 0.0
+        if measure:
+            kept = hat.copy()
+        hat[grid._unpaired_half] = 0.0
+        out[j] = _to_real(grid, hat)
+        if measure:
+            removed = max(removed, np.abs(_to_real(grid, kept - hat)).max())
+    return out, removed
 
 
 # --------------------------------------------------------------------- norms
@@ -341,10 +360,25 @@ def l2_norm(field):
     return float(np.sqrt(np.mean(v**2) * field.grid.volume))
 
 
+def _unpaired_fraction(grid, vals):
+    """L2 fraction of a field living on the unpaired planes."""
+    power = grid._pair_weight * np.abs(_rfft(vals)) ** 2
+    total = float(np.sqrt(power.sum()))
+    if total == 0.0:
+        return 0.0
+    return float(np.sqrt(power[grid._unpaired_half].sum())) / total
+
+
+def _grad_sq_sum(grid, hat):
+    """Grid sum of ``|grad v|^2`` times the point count, by Parseval on
+    the half spectrum of v."""
+    return float(np.sum(grid._pair_weight * grid._k2 * (hat.real**2 + hat.imag**2)))
+
+
 def c2_surrogate(u):
     """Cheap stand-in for a C^2 norm: sup|u| + sup|grad u| + sup|Hess u|."""
     g = u.grid
-    hat = np.fft.rfftn(u.values)
+    hat = _rfft(u.values)
     grad_sq = np.zeros(g.shape)
     hess_sup = 0.0
     for i, iki in enumerate(g._ik):
@@ -355,6 +389,16 @@ def c2_surrogate(u):
 
 
 # --------------------------------------------------------------- linear solve
+
+
+def _shifted_lap_inverse(grid, shift):
+    """``(lap + shift)^-1`` on flat grid arrays, a diagonal division in
+    Fourier space; the symbol is built once, here."""
+    denom = grid._k2 + shift
+
+    def apply(flat):
+        return _to_real(grid, _rfft(flat.reshape(grid.shape)) / denom).ravel()
+    return apply
 
 
 def solve_scalar_linear(grid, h, drift, rhs, tol=1e-12):
@@ -378,8 +422,9 @@ def solve_scalar_linear(grid, h, drift, rhs, tol=1e-12):
     Raises
     ------
     SingularOperator
-        If ``h`` and ``drift`` both vanish and the right side has a mean
-        component, or a constant ``h`` makes a Fourier denominator vanish.
+        If ``h`` and ``drift`` both vanish and the right side has content
+        in the kernel of the Laplacian (the mean or a pure unpaired-corner
+        mode), or a constant ``h`` makes a Fourier denominator vanish.
     NonConvergence
         If the iterative path stalls above the residual target.
 
@@ -402,13 +447,13 @@ def solve_scalar_linear(grid, h, drift, rhs, tol=1e-12):
 
     if h_const and bv is None:
         h0 = float(hv.flat[0])
-        rhat = np.fft.rfftn(rhs.values)
+        rhat = _rfft(rhs.values)
         if h0 == 0.0:
-            mean_defect = abs(rhat.flat[0]) / rhs.values.size
-            if mean_defect > 1e-13 * scale:
+            defect = float(np.abs(rhat[grid._kernel_half]).max()) / rhs.values.size
+            if defect > 1e-13 * scale:
                 raise SingularOperator(
-                    "operator has no zeroth-order term and the right side "
-                    f"has mean {mean_defect:.3e}")
+                    "operator has no zeroth-order term and the right side has "
+                    f"kernel content (mean or unpaired corners) {defect:.3e}")
             return ScalarField(grid, _to_real(grid, rhat * grid._inv_k2))
         denom = grid._k2 + h0
         if np.abs(denom).min() < 1e-12 * (1.0 + abs(h0)):
@@ -423,13 +468,7 @@ def solve_scalar_linear(grid, h, drift, rhs, tol=1e-12):
     def apply_op(flat):
         return _scalar_op_values(grid, hv, bv, flat.reshape(grid.shape)).ravel()
 
-    shift = max(float(np.mean(hv)), 1e-2)
-    pre_denom = grid._k2 + shift
-
-    def apply_pre(flat):
-        r = flat.reshape(grid.shape)
-        return _to_real(grid, np.fft.rfftn(r) / pre_denom).ravel()
-
+    apply_pre = _shifted_lap_inverse(grid, max(float(np.mean(hv)), 1e-2))
     a_op = LinearOperator((n_total, n_total), matvec=apply_op, dtype=np.float64)
     m_op = LinearOperator((n_total, n_total), matvec=apply_pre, dtype=np.float64)
 

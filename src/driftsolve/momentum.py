@@ -25,8 +25,8 @@ from .grid import (
     ScalarField,
     VectorField,
     _cdev_values,
+    _project_solvable,
     _tensor_div_values,
-    _to_real,
     conformal_killing,
     divergence,
     gradient,
@@ -76,26 +76,6 @@ class KernelReport:
     iterations: int
     residual: float
     ratios: list
-
-
-def _project_solvable(grid, comps, measure=False):
-    """Zero the mean and the unpaired-mode planes of each component.
-
-    With ``measure`` also returns the sup norm of the largest removed
-    unpaired-mode content, the mean left out; otherwise 0.
-    """
-    out = np.empty_like(comps)
-    removed = 0.0
-    for j in range(grid.dim):
-        hat = np.fft.rfftn(comps[j])
-        hat[(0,) * grid.dim] = 0.0
-        if measure:
-            kept = hat.copy()
-        hat[grid._nyquist_half] = 0.0
-        out[j] = _to_real(grid, hat)
-        if measure:
-            removed = max(removed, np.abs(_to_real(grid, kept - hat)).max())
-    return out, removed
 
 
 def _apply_operator(rho3, w_vals):

@@ -154,7 +154,7 @@ def map_parameters(phys, h_override=None):
         b=b, c=c, d=d, f=f, h=h, rho1=rho1, rho2=rho2, rho3=rho3,
         Y=y_big, Psi=psi_big, rhs_mode="abstract",
         rhs=RhsInputs(v_tilde=phys.v_tilde, n_tilde=phys.n_tilde,
-                      pi=phys.pi, psi=phys.psi, half_drift=True),
+                      pi=phys.pi, psi=phys.psi),
     )
 
     grad_nt = gradient(phys.n_tilde).values

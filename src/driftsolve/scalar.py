@@ -64,8 +64,11 @@ def _residual_values(grid, uv, a, coeffs):
     if uv.min() <= 0:
         raise NonPositiveField(f"residual needs u > 0, min {uv.min()}")
     q = grid.q
-    lap, grad = _lap_grad_values(grid, uv)
-    s = np.sum(grad * coeffs.Y.values, axis=0)
+    if np.any(coeffs.Y.values):
+        lap, grad = _lap_grad_values(grid, uv)
+        s = np.sum(grad * coeffs.Y.values, axis=0)
+    else:  # no gradient terms: the Laplacian alone, as in linearize
+        lap, s = _lap_values(grid, uv), 0.0
     return (lap + coeffs.h.values * uv
             - coeffs.f.values * uv ** (q - 1.0)
             - a * uv ** (-q - 1.0)

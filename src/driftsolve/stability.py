@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, SignIndefiniteEigenfunction
-from .grid import ScalarField, VectorField, _scalar_op_values, _to_real, gradient
+from .grid import (ScalarField, VectorField, _scalar_op_values, _shifted_lap_inverse,
+                   _unpaired_fraction, gradient)
 
 # Ritz pairs kept and expanded per Davidson iteration
 _BLOCK = 6
@@ -101,15 +102,6 @@ def _starting_block(grid, m):
     return np.column_stack([c.ravel() for c in cols])
 
 
-def _unpaired_fraction(grid, vals):
-    """L2 fraction of a field living on the unpaired-highest-mode planes."""
-    power = grid._pair_weight * np.abs(np.fft.rfftn(vals)) ** 2
-    total = float(np.sqrt(power.sum()))
-    if total == 0.0:
-        return 0.0
-    return float(np.sqrt(power[grid._nyquist_half].sum())) / total
-
-
 def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
     """Ground eigenpair of the linearized operator.
 
@@ -151,7 +143,7 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
     g = op.zeroth.grid
     zeroth = op.zeroth.values
     drift = op.first.values if op.first is not None and np.any(op.first.values) else None
-    precond = g._k2 + (float(np.mean(zeroth)) + op.k_lin)
+    precond = _shifted_lap_inverse(g, float(np.mean(zeroth)) + op.k_lin)
     cap = _BASIS_PER_BLOCK * _BLOCK
     basis = np.empty((cap, zeroth.size))
     image = np.empty_like(basis)
@@ -201,8 +193,7 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
             resid = float(np.linalg.norm(resids[0]) / np.linalg.norm(x0))
             if resid <= tol:
                 break
-        steps = [_to_real(g, np.fft.rfftn(r.reshape(g.shape)) / precond).ravel()
-                 for r in resids]
+        steps = [precond(r) for r in resids]
         if m + len(steps) > cap:
             keep, _ = np.linalg.qr(coef)
             basis[:keep.shape[1]] = keep.T @ basis[:m]
@@ -226,7 +217,6 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
 
 def coercivity_eigenvalue(h, tol=5e-9, max_iter=2000):
     """Smallest eigenvalue of ``laplacian + h`` (symmetric, no drift)."""
-    g = h.grid
     k = max(0.0, -float(h.values.min())) + 1.0
     op = LinearizedOperator(zeroth=h, first=None, k_lin=k)
     lam, _ = smallest_eigenvalue(op, tol=tol, max_iter=max_iter)

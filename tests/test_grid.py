@@ -44,7 +44,7 @@ def test_gridspec_validation():
     with pytest.raises(ConfigError):
         GridSpec(dim=3, n_axis=16, length=0.0)
     with pytest.raises(ConfigError):
-        GridSpec(dim=3, n_axis=1024, memory_budget=2**20)
+        GridSpec(dim=3, n_axis=1024)  # 8 GiB, over the 4 GiB budget
 
 
 def test_gridspec_critical_exponent():
@@ -138,9 +138,16 @@ def test_phase_and_nyquist_mask():
     x = mesh(g)
     expected = 2.0 * np.pi * (x[0] - 2.0 * x[2] + 3.0 * x[3])
     assert np.allclose(g.phase([1, 0, -2, 3]), expected, atol=1e-13)
-    # the unpaired index n/2 of any axis marks a Fourier entry as Nyquist
-    assert np.array_equal(g.nyquist, np.any(np.indices(g.shape) == 4, axis=0))
-    assert not g.nyquist.flags.writeable
+    # half spectrum: the last axis keeps indices 0..n/2
+    idx = np.indices((8, 8, 8, 5))
+    # an unpaired plane has index n/2 on some axis; the kernel |k|^2 == 0
+    # is the mean and the pure unpaired corners
+    assert np.array_equal(g._unpaired_half, np.any(idx == 4, axis=0))
+    kernel = np.all((idx == 0) | (idx == 4), axis=0)
+    assert np.array_equal(g._kernel_half, kernel) and kernel.sum() == 2**4
+    assert np.array_equal(g._inv_k2 == 0, kernel)
+    assert not g._unpaired_half.flags.writeable
+    assert not g._kernel_half.flags.writeable
 
 
 def test_conformal_killing_trace_and_values():
@@ -269,6 +276,15 @@ def test_linear_solve_gives_up_on_nearly_singular_operator(monkeypatch):
     # four rounds of at most ten restart cycles; a cycle of 60 steps costs
     # two transforms a step plus a few (the unbounded solve took ~195000)
     assert 0 < n_fft[0] <= 4 * 10 * (2 * 60 + 3)
+
+
+def test_linear_solve_refuses_unpaired_corner_content():
+    # cos(4 x1) is the pure unpaired corner of axis 0 on 8 points: the
+    # Laplacian annihilates it, so lap u = rhs has no solution
+    g = GridSpec(dim=3, n_axis=8)
+    rhs = ScalarField(g, cos_s(g, mode=4).values + sin_s(g, axis=1).values)
+    with pytest.raises(SingularOperator, match="kernel content"):
+        solve_scalar_linear(g, const_s(g, 0.0), None, rhs)
 
 
 def test_linear_solve_zero_mean_convention():

@@ -1,8 +1,12 @@
-"""Source hygiene: every name a package module imports is used.
+"""Source hygiene, by plain ``ast`` scans, so it needs no linter.
 
-A plain ``ast`` scan, so it needs no linter.  A name counts as used when it
-appears as an identifier anywhere in the module (the base of an attribute
-access included) or is listed in the module's ``__all__``.
+* Every name a package module imports is used.  A name counts as used when
+  it appears as an identifier anywhere in the module (the base of an
+  attribute access included) or is listed in the module's ``__all__``.
+* Only ``grid`` touches a spectrum: no other module accesses ``.fft`` or a
+  spectral attribute of ``GridSpec``, or imports ``fft`` or the inverse
+  transform ``_to_real``.
+* No function assigns a local it never reads (``_``-prefixed names aside).
 """
 
 import ast
@@ -11,6 +15,10 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "driftsolve"
+MODULES = sorted(PACKAGE.glob("*.py"))
+SPECTRAL = {"fft", "_k2", "_inv_k2", "_ik", "_pair_weight",
+            "_unpaired_half", "_kernel_half"}
+NOT_IMPORTED = SPECTRAL | {"_to_real"}
 
 
 def _imported_names(tree):
@@ -41,12 +49,71 @@ def unused_imports(source):
             if name not in used]
 
 
+def spectral_leaks(source):
+    """(name, line) of each spectral attribute access, and of each import
+    from or of ``fft``, a spectral attribute or ``_to_real``."""
+    leaks = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in SPECTRAL:
+            leaks.append((node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            leaks += [(alias.name, node.lineno) for alias in node.names
+                      if not NOT_IMPORTED.isdisjoint(f"{module}.{alias.name}".split("."))]
+    return leaks
+
+
+def unused_locals(source):
+    """``function.name`` of each local a function assigns but never reads;
+    a nested function's reads count for its enclosing one."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, loaded, shared = set(), set(), set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                (loaded if isinstance(node.ctx, ast.Load) else stored).add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+        found += [f"{func.name}.{name}" for name in sorted(stored - loaded - shared)
+                  if not name.startswith("_")]
+    return found
+
+
 def test_scan_finds_unused_imports():
     source = ("import os\nimport numpy as np\nfrom a.b import c, d as e\n"
               "from x import kept\n__all__ = ['kept']\nprint(np.pi, e)\n")
     assert unused_imports(source) == [("os", 1), ("c", 3)]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_scan_finds_spectral_leaks():
+    source = ("import numpy.fft\nfrom .grid import _to_real, _rfft\n"
+              "from numpy.fft import rfftn\n"
+              "h = np.fft.rfftn(v) * g._k2\nm = g._kernel_half\n")
+    assert sorted(spectral_leaks(source)) == [
+        ("_k2", 4), ("_kernel_half", 5), ("_to_real", 2), ("fft", 4),
+        ("numpy.fft", 1), ("rfftn", 3)]
+
+
+def test_scan_finds_unused_locals():
+    source = ("def f(a):\n    g = a.grid\n    k, _ = a.pair\n    total = 0\n"
+              "    for _ in a:\n        total += 1\n    def inner():\n"
+              "        return k\n    return inner\n")
+    assert unused_locals(source) == ["f.g", "f.total"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_only_grid_touches_a_spectrum(path):
+    assert spectral_leaks(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_local_is_assigned_and_never_read(path):
+    assert unused_locals(path.read_text()) == []

@@ -261,6 +261,23 @@ def test_monotone_sweeps_stay_on_arrays(monkeypatch):
     assert np.all(u.values <= u_star.values + 1e-9)
 
 
+def test_monotone_without_drift_takes_no_gradient(monkeypatch):
+    import driftsolve.grid
+
+    g = GridSpec(dim=3, n_axis=8)
+    u_star = sin_s(g, amp=0.05, offset=1.0)
+    base = constant_coeffs(g)
+    coeffs = with_b(base, manufactured_b(g, u_star, base))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gradient taken with Y == 0")
+
+    monkeypatch.setattr(driftsolve.grid, "_grad_of_hat", forbidden)
+    u, trace = monotone_iterate(coeffs, u_star, step_tol=1e-3, tol_outer=1e-2)
+    assert trace.iterate_count > 1
+    assert np.all(u.values <= u_star.values + 1e-9)
+
+
 def test_monotone_ordering_in_a():
     g = GridSpec(dim=3, n_axis=16)
     psi = const_s(g, 1.1)

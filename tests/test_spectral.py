@@ -16,7 +16,9 @@ from driftsolve.grid import (
     SymTensorField,
     VectorField,
     _lap_grad_values,
+    _project_solvable,
     _scalar_op_values,
+    _unpaired_fraction,
     c2_surrogate,
     conformal_killing,
     divergence,
@@ -26,8 +28,6 @@ from driftsolve.grid import (
     solve_scalar_linear,
     tensor_divergence,
 )
-from driftsolve.momentum import _project_solvable
-from driftsolve.stability import _unpaired_fraction
 
 from oracles import axes, ref_grad, ref_lap
 
