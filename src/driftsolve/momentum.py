@@ -1,4 +1,4 @@
-"""Divergence-form vector solve, operator-norm estimate, and drift sources.
+"""Divergence-form vector solve, its operator constant, and drift sources.
 
 The vector ("momentum") equation is ``div(rho3 * cdev(W)) = X`` with
 ``cdev`` the trace-free symmetrized derivative (:func:`grid.conformal_killing`)
@@ -11,7 +11,8 @@ against the projected data.
 Variable ``rho3`` is handled by defect correction: repeatedly invert the
 constant-coefficient operator on the current residual divided by ``rho3``.
 The iteration contracts when ``rho3`` is gentle (small gradient relative to
-the measured operator constant) and is guarded both a priori and empirically.
+the closed-form operator constant ``length / (2 pi)`` of :func:`estimate_C1`)
+and is guarded both a priori and empirically.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ from .grid import (
     _cdev_values,
     _project_solvable,
     _tensor_div_values,
-    conformal_killing,
     divergence,
     gradient,
     lame_invert,
     sup_norm,
 )
-
-_C1_CACHE = {}
 
 
 @dataclass
@@ -83,47 +81,14 @@ def _apply_operator(rho3, w_vals):
     return _tensor_div_values(g, rho3.values * _cdev_values(g, w_vals))
 
 
-def estimate_C1(grid, seed=0, n_probes=32):
-    """Measured operator constant: how large ``cdev(W)`` gets per unit data.
+def estimate_C1(grid):
+    """Operator constant of the contraction guard: ``length / (2 pi)``.
 
-    Maximizes ``sup|cdev(solve(X))| / sup|X|`` over one deterministic
-    single-mode probe (which realizes the ratio ``length / (2 pi)`` exactly
-    and floors the estimate) followed by ``n_probes`` random band-limited
-    mean-free probes.  Results are cached per grid, seed, and probe count.
+    This is the ratio ``sup|cdev(lame_invert(X))| / sup|X|`` of the lowest
+    mode ``X = sin(2 pi x1 / L) e1``.  Random band-limited probes give
+    smaller ratios (``tests/oracles.py`` keeps that search as a reference).
     """
-    key = (grid.dim, grid.n_axis, grid.length, seed, n_probes)
-    if key in _C1_CACHE:
-        return _C1_CACHE[key]
-
-    probes = []
-    single = np.zeros((grid.dim,) + grid.shape)
-    single[0] = np.sin(grid.phase(np.eye(grid.dim, dtype=int)[0]))
-    probes.append(single)
-
-    rng = np.random.default_rng(seed)
-    for _ in range(n_probes):
-        comps = np.zeros((grid.dim,) + grid.shape)
-        for j in range(grid.dim):
-            vals = np.zeros(grid.shape)
-            for _ in range(6):
-                kvec = rng.integers(-2, 3, size=grid.dim)
-                if not np.any(kvec):
-                    continue
-                phase = grid.phase(kvec)
-                vals = vals + rng.normal() * np.cos(phase) + rng.normal() * np.sin(phase)
-            comps[j] = vals
-        probes.append(comps)
-
-    best = 0.0
-    for comps in probes:
-        scale = np.sqrt(np.sum(comps**2, axis=0)).max()
-        if scale == 0:
-            continue
-        proj, _ = _project_solvable(grid, comps)
-        w = lame_invert(VectorField(grid, proj))
-        best = max(best, sup_norm(conformal_killing(w)) / scale)
-    _C1_CACHE[key] = best
-    return best
+    return grid.length / (2.0 * np.pi)
 
 
 def solve_lame(prob, tol=1e-10, max_iter=60):
@@ -136,8 +101,8 @@ def solve_lame(prob, tol=1e-10, max_iter=60):
     Raises
     ------
     ContractionViolated
-        If ``sup|grad rho3| >= 1 / (2 C1)`` with the measured operator
-        constant, or the residuals grow for two consecutive steps.
+        If ``sup|grad rho3| >= 1 / (2 C1)`` with ``C1 = estimate_C1(grid)``,
+        or the residuals grow for two consecutive steps.
     NonConvergence
         If the iteration budget runs out above tolerance.
     """

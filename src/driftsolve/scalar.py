@@ -34,6 +34,7 @@ from .errors import (
 from .grid import ScalarField, VectorField, _lap_grad_values, _lap_values, solve_scalar_linear
 
 _MAX_NEWTON = 50  # Newton steps allowed to one frozen sweep problem
+_MAX_HALVINGS = 12  # step halvings in one Newton line search
 
 
 @dataclass
@@ -171,10 +172,15 @@ def solve_gen_eq(data, u_init):
 
     With ``Z == 0`` the problem is linear and handled in one solve.
     Otherwise Newton linearizes the gradient terms into a drift
-    ``(2 th1 s + th2) Z`` and backtracks on the sup-norm of the residual;
-    a damped Picard pass takes over if a Newton step cannot decrease it.
+    ``(2 th1 s + th2) Z`` and backtracks on the sup-norm of the residual.
     The residual target is ``1e-11 max(1, sup|th3|)``; Newton gets at most
     50 steps.
+
+    Raises
+    ------
+    NonConvergence
+        If 12 halvings of a Newton step cannot lower the residual (the
+        line search failed), or the 50 steps run out above the target.
     """
     g = data.H.grid
     tol = 1e-11 * max(1.0, float(np.abs(data.th3.values).max()))
@@ -194,7 +200,7 @@ def solve_gen_eq(data, u_init):
         delta = solve_scalar_linear(g, data.H, drift,
                                     ScalarField(g, -res), tol=1e-12).values
         lam, improved = 1.0, False
-        for _ in range(12):
+        for _ in range(_MAX_HALVINGS):
             trial = uv + lam * delta
             res_t, s_t = _gen_eq_residual(data, trial)
             if np.all(np.isfinite(res_t)) and np.abs(res_t).max() < res_sup:
@@ -202,18 +208,10 @@ def solve_gen_eq(data, u_init):
                 break
             lam *= 0.5
         if not improved:
-            # damped Picard fallback: refreeze the whole gradient block
-            for _ in range(200):
-                frozen = ScalarField(
-                    g, -(data.th1.values * s**2 + data.th2.values * s
-                         + data.th3.values))
-                new = solve_scalar_linear(g, data.H, None, frozen).values
-                uv = 0.5 * (uv + new)
-                res, s = _gen_eq_residual(data, uv)
-                if np.abs(res).max() <= tol:
-                    return ScalarField(g, uv)
-            raise NonConvergence("inner gradient-quadratic solve stalled",
-                                 iterations=it, residual=float(np.abs(res).max()))
+            raise NonConvergence(
+                f"inner Newton line search failed: {_MAX_HALVINGS} halvings "
+                f"did not lower the residual",
+                iterations=it, residual=float(res_sup))
     raise NonConvergence("inner Newton ran out of iterations",
                          iterations=_MAX_NEWTON, residual=float(np.abs(res).max()))
 

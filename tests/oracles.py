@@ -175,3 +175,53 @@ def dense_newton_quadratic_gradient(dim, n_axis, big_h, th1, th2, th3, z_vec,
 def dense_least_squares(mat, rhs):
     sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     return sol
+
+
+def lame_probe_ratios(dim, n_axis, length, n_probes):
+    """Ratios ``sup|cdev(W)| / sup|X|`` of the constant-coefficient vector
+    solve ``div(cdev W) = X`` over the probe set of a random operator-norm
+    search: the lowest mode ``sin(2 pi x1 / L) e1`` first, then
+    ``n_probes`` random mean-free fields, each component a sum of six modes
+    with integer wavevector entries in [-2, 2].
+
+    The solve inverts the full-spectrum Fourier blocks
+    ``-(|k|^2 I + beta k k^T)``, ``beta = 1 - 2/dim``, mode by mode;
+    ``sup|X|`` is the largest pointwise Euclidean length and ``sup|cdev W|``
+    the largest tensor entry.
+    """
+    x, k, k2 = axes(dim, n_axis, length)
+    shape = (n_axis,) * dim
+    scale = 2.0 * np.pi / length
+
+    def phase(kvec):
+        return sum(scale * kj * xj for kj, xj in zip(kvec, x))
+
+    single = np.zeros((dim,) + shape)
+    single[0] = np.sin(phase(np.eye(dim, dtype=int)[0]))
+    probes = [single]
+    rng = np.random.default_rng(0)
+    for _ in range(n_probes):
+        comps = np.zeros((dim,) + shape)
+        for j in range(dim):
+            for _ in range(6):
+                kvec = rng.integers(-2, 3, size=dim)
+                if np.any(kvec):
+                    p = phase(kvec)
+                    comps[j] += rng.normal() * np.cos(p) + rng.normal() * np.sin(p)
+        probes.append(comps)
+
+    beta = 1.0 - 2.0 / dim
+    inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
+    ratios = []
+    for comps in probes:
+        xh = [np.fft.fftn(c) for c in comps]
+        kx = sum(kj * xj for kj, xj in zip(k, xh))
+        wh = [-(xj - beta / (1.0 + beta) * kj * kx * inv_k2) * inv_k2
+              for kj, xj in zip(k, xh)]
+        div_h = sum(1j * kj * wj for kj, wj in zip(k, wh))
+        cdev_sup = max(
+            np.abs(np.fft.ifftn(1j * k[i] * wh[j] + 1j * k[j] * wh[i]
+                                - (i == j) * (2.0 / dim) * div_h).real).max()
+            for i in range(dim) for j in range(i, dim))
+        ratios.append(cdev_sup / np.sqrt(np.sum(comps**2, axis=0)).max())
+    return ratios

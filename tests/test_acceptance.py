@@ -128,7 +128,7 @@ def test_criterion_05_vector_solve_closed_form():
     w, kernel = solve_lame(MomentumProblem(const_s(g, 1.0), x))
     ref = 0.75 * np.sin(mesh(g)[0])
     err = max(np.abs(w.values[0] - ref).max(), np.abs(w.values[1:]).max())
-    c1 = estimate_C1(g, seed=0)
+    c1 = estimate_C1(g)
     ok = (err <= 1e-12 and np.abs(kernel.defect).max() <= 1e-15
           and 1.0 - 1e-12 <= c1 < 1.5)
     verdict(5, "vector solve closed form", ok,
@@ -140,7 +140,7 @@ def test_criterion_06_vector_solve_variable_coefficient():
     rho3 = sin_s(g, axis=1, amp=0.1, offset=1.0)
     x = vec_with(g, 0, sin_s(g, amp=-1.0))
     w, kernel = solve_lame(MomentumProblem(rho3, x))
-    c1 = estimate_C1(g, seed=0)
+    c1 = estimate_C1(g)
     bound = 0.1 * c1 / 0.9 + 0.05
     ok = (kernel.residual <= 1e-10 and kernel.iterations <= 12
           and all(r <= bound for r in kernel.ratios[1:]))

@@ -1,12 +1,15 @@
 """Command-line driver: config handling, reports, dumps, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftsolve
 from driftsolve.cli import main
 
 
@@ -265,9 +268,12 @@ def test_module_entry_point(tmp_path):
         "verify": {"f0": 3.0, "dim": 3, "r_max": 10.0, "n_points": 512},
     })
     out = tmp_path / "out"
+    # the child imports the same package as this process, installed or not
+    src = str(Path(driftsolve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "driftsolve.cli", "verify",
          "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").exists()

@@ -7,6 +7,9 @@
   spectral attribute of ``GridSpec``, or imports ``fft`` or the inverse
   transform ``_to_real``.
 * No function assigns a local it never reads (``_``-prefixed names aside).
+* No function writes into module-level state: no ``global`` statement, and
+  no subscript store or ``.update``/``.setdefault``/``.append`` call on a
+  name the module binds at top level (unless the function rebinds it).
 """
 
 import ast
@@ -19,6 +22,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 SPECTRAL = {"fft", "_k2", "_inv_k2", "_ik", "_pair_weight",
             "_unpaired_half", "_kernel_half"}
 NOT_IMPORTED = SPECTRAL | {"_to_real"}
+MUTATORS = {"update", "setdefault", "append"}
 
 
 def _imported_names(tree):
@@ -81,6 +85,45 @@ def unused_locals(source):
     return found
 
 
+def module_state_writes(source):
+    """``function.name`` of each write a function makes into module-level
+    state: a ``global`` statement, or a subscript store or mutating call on
+    a top-level name the function does not rebind."""
+    tree = ast.parse(source)
+    module_names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        module_names.update(t.id for t in targets if isinstance(t, ast.Name))
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        local = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+        local |= {node.id for node in ast.walk(func)
+                  if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+        shared = module_names - local
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                found.update(f"{func.name}.{name}" for name in node.names)
+                continue
+            if (isinstance(node, ast.Subscript)
+                    and not isinstance(node.ctx, ast.Load)):
+                base = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS):
+                base = node.func.value
+            else:
+                continue
+            if isinstance(base, ast.Name) and base.id in shared:
+                found.add(f"{func.name}.{base.id}")
+    return sorted(found)
+
+
 def test_scan_finds_unused_imports():
     source = ("import os\nimport numpy as np\nfrom a.b import c, d as e\n"
               "from x import kept\n__all__ = ['kept']\nprint(np.pi, e)\n")
@@ -103,6 +146,20 @@ def test_scan_finds_unused_locals():
     assert unused_locals(source) == ["f.g", "f.total"]
 
 
+def test_scan_finds_module_state_writes():
+    source = ("_CACHE = {}\n_SEEN: list = []\n_COUNT = 0\nLIMIT = 3\n"
+              "def put(k, v):\n    _CACHE[k] = v\n"
+              "def note(x):\n    _SEEN.append(x)\n    _CACHE.update(x=1)\n"
+              "def bump():\n    global _COUNT\n    _COUNT += 1\n"
+              "def fill(k):\n    return _CACHE.setdefault(k, LIMIT)\n"
+              "def clean(k):\n    del _CACHE[k]\n"
+              "def local(k):\n    _CACHE = {}\n    _CACHE[k] = LIMIT\n"
+              "    out = [_SEEN[0]]\n    out.append(k)\n    return _CACHE, out\n")
+    assert module_state_writes(source) == [
+        "bump._COUNT", "clean._CACHE", "fill._CACHE", "note._CACHE",
+        "note._SEEN", "put._CACHE"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
@@ -117,3 +174,8 @@ def test_only_grid_touches_a_spectrum(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_local_is_assigned_and_never_read(path):
     assert unused_locals(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_writes_module_state(path):
+    assert module_state_writes(path.read_text()) == []

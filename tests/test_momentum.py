@@ -30,16 +30,17 @@ from util import const_s, const_v, cos_s, mesh, sin_s, vec_with, zero_v
 
 def test_estimate_c1_floor_and_determinism():
     g = GridSpec(dim=3, n_axis=16)
-    c1 = estimate_C1(g, seed=0)
+    c1 = estimate_C1(g)
     # the single-mode probe realizes ratio exactly 1
     assert c1 >= 1.0 - 1e-12
     assert c1 < 1.5
-    assert estimate_C1(g, seed=0) == c1
-    assert estimate_C1(g, seed=0, n_probes=8) <= c1 + 1e-15
+    assert estimate_C1(g) == c1
+    with pytest.raises(TypeError):
+        estimate_C1(g, seed=0)
 
 
 def test_estimate_c1_scale_invariance_of_probes():
-    # the estimator is a max of ratios, so it dominates any single probe ratio
+    # the closed form is the ratio this lowest-mode probe realizes
     g = GridSpec(dim=3, n_axis=16)
     from driftsolve.grid import lame_invert
 
@@ -47,13 +48,25 @@ def test_estimate_c1_scale_invariance_of_probes():
     w = lame_invert(x)
     ratio = sup_norm(conformal_killing(w)) / sup_norm(x)
     assert ratio == pytest.approx(1.0, abs=1e-12)
-    assert estimate_C1(g, seed=3) >= ratio - 1e-12
+    assert estimate_C1(g) >= ratio - 1e-12
 
 
 def test_estimate_c1_floor_scales_with_length():
     # the single-mode probe sin(2 pi x / L) realizes the ratio L / (2 pi)
     g = GridSpec(dim=3, n_axis=16, length=1.0)
-    assert estimate_C1(g, n_probes=4) >= 1.0 / (2.0 * np.pi) - 1e-12
+    assert estimate_C1(g) >= 1.0 / (2.0 * np.pi) - 1e-12
+
+
+@pytest.mark.parametrize("dim, n_axis, length", [
+    (3, 8, 2.0 * np.pi), (3, 16, 1.0), (4, 8, 2.0 * np.pi), (5, 8, 2.0 * np.pi)])
+def test_estimate_c1_dominates_reference_probe_search(dim, n_axis, length):
+    g = GridSpec(dim=dim, n_axis=n_axis, length=length)
+    c1 = estimate_C1(g)
+    assert c1 == g.length / (2.0 * np.pi)
+    ratios = oracles.lame_probe_ratios(dim, n_axis, length, 8)
+    # the lowest mode attains c1 up to roundoff; the random probes stay below
+    assert ratios[0] == pytest.approx(c1, rel=1e-14)
+    assert all(r <= c1 * (1.0 + 1e-14) for r in ratios)
 
 
 # ----------------------------------------------------------------- the solve
@@ -121,8 +134,8 @@ def test_solve_lame_variable_coefficient_contract():
     assert resid <= 1e-10 * scale + kernel.unresolved
     assert kernel.residual <= 1e-10 * scale
     assert kernel.iterations <= 12
-    # contraction property from the problem data and the measured constant
-    c1 = estimate_C1(g, seed=0)
+    # contraction property from the problem data and the operator constant
+    c1 = estimate_C1(g)
     bound = 0.1 * c1 / 0.9 + 0.05
     assert all(r <= bound for r in kernel.ratios[1:])
 

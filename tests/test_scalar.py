@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import driftsolve.scalar
 from driftsolve.errors import (
+    NonConvergence,
     NonPositiveField,
     NoSubsolution,
     NoSupersolutionFound,
@@ -192,6 +194,23 @@ def test_gen_eq_matches_dense_newton():
         3, 8, 1.0, 1.0, 0.0, data.th3.values, (1.0, 0.0, 0.0)
     )
     assert np.abs(u.values - ref).max() <= 1e-8
+
+
+def test_gen_eq_failed_line_search_raises(monkeypatch):
+    # Newton steps that cannot lower the residual end the solve at once: no
+    # second solver path takes over from the stalled Newton iteration
+    real = driftsolve.scalar.solve_scalar_linear
+
+    def no_newton_step(grid, h, drift, rhs, **kwargs):
+        if drift is None:
+            return real(grid, h, drift, rhs, **kwargs)
+        return ScalarField(grid, np.zeros(grid.shape))
+
+    monkeypatch.setattr(driftsolve.scalar, "solve_scalar_linear", no_newton_step)
+    g = GridSpec(dim=3, n_axis=8)
+    with pytest.raises(NonConvergence, match="line search") as err:
+        solve_gen_eq(gen_eq_example(g), const_s(g, 2.0))
+    assert err.value.iterations == 0
 
 
 # ----------------------------------------------------------- outer iteration
