@@ -193,6 +193,8 @@ def _run_solve_scalar(cfg, grid, report, out_dir, dump):
         "u_max": float(u.values.max()),
         "final_residual": float(trace.final_residual),
         "iterations": int(trace.iterate_count),
+        "newton_steps": int(trace.newton_steps),
+        "polished": bool(trace.polished),
         "eps0": float(trace.eps0),
         "K": float(trace.K),
         "psi_max": float(psi.values.max()),

@@ -15,6 +15,17 @@ nonlinearities at the previous iterate, shifts both sides by K u with K large
 enough to make the sweep order-preserving, and solves the resulting
 gradient-quadratic problem.  Iterates then increase monotonically and stay
 below the barrier.
+
+The sweep map contracts only linearly, so after a few sweeps a damped
+Newton iteration on the full residual (Jacobian ``stability.linearize``)
+finishes the solve.  Its answer is kept only if it is finite, positive,
+meets the sweeps' own stop rule, and lies in the order interval between the
+last sweep iterate and the barrier; otherwise the sweeps go on from where
+they stopped.  An accepted answer therefore keeps the barrier bounds
+epsilon0 <= u <= psi of the monotone construction, and it lies at or above
+the sweeps' limit, the smallest solution above the last sweep iterate.
+``find_supersolution`` runs the same Newton iteration to find a
+nonconstant barrier.
 """
 
 from __future__ import annotations
@@ -32,9 +43,12 @@ from .errors import (
     SolverError,
 )
 from .grid import ScalarField, VectorField, _lap_grad_values, _lap_values, solve_scalar_linear
+from .stability import linearize
 
 _MAX_NEWTON = 50  # Newton steps allowed to one frozen sweep problem
 _MAX_HALVINGS = 12  # step halvings in one Newton line search
+_SWEEPS_BEFORE_POLISH = 5  # sweeps before Newton on the full residual
+_MAX_POLISH = 12  # Newton steps allowed to that polish
 
 
 @dataclass
@@ -81,6 +95,54 @@ def _residual_values(grid, uv, a, coeffs):
 def scalar_residual(u, coeffs):
     """Evaluate the equation residual at a positive field ``u``."""
     return ScalarField(u.grid, _residual_values(u.grid, u.values, coeffs.a.values, coeffs))
+
+
+def _damped_newton(coeffs, uv, target, step_tol, max_steps, max_halvings, lin_tol):
+    """Damped Newton on the full residual from the positive grid array ``uv``.
+
+    Each step solves ``linearize(u) delta = -residual`` and halves ``delta``
+    until the trial field is positive with a finite residual of smaller
+    sup-norm.  Stops before a step once the residual sup-norm is at most
+    ``target`` and the last correction's sup-norm is below ``step_tol``
+    (so it takes at least one step); also when a linear solve raises a
+    ``SolverError``, when ``max_halvings`` halvings do not lower the
+    residual, or after ``max_steps`` steps.
+
+    Returns
+    -------
+    (ndarray, float, float, int)
+        The last accepted iterate, its residual sup-norm, the sup-norm of
+        the last correction solved for (inf if none) and the number of
+        corrections solved for.
+    """
+    g = coeffs.a.grid
+    a = coeffs.a.values
+    res = _residual_values(g, uv, a, coeffs)
+    res_sup = float(np.abs(res).max())
+    step = np.inf
+    for n in range(max_steps):
+        if res_sup <= target and step < step_tol:
+            return uv, res_sup, step, n
+        op = linearize(ScalarField(g, uv), coeffs)
+        try:
+            delta = solve_scalar_linear(g, op.zeroth, op.first,
+                                        ScalarField(g, -res), tol=lin_tol).values
+        except SolverError:
+            return uv, res_sup, step, n
+        step = float(np.abs(delta).max())
+        lam = 1.0
+        for _ in range(max_halvings):
+            trial = uv + lam * delta
+            if trial.min() > 0:
+                res_t = _residual_values(g, trial, a, coeffs)
+                sup_t = float(np.abs(res_t).max())  # NaN or inf if any entry is
+                if np.isfinite(sup_t) and sup_t < res_sup:
+                    uv, res, res_sup = trial, res_t, sup_t
+                    break
+            lam *= 0.5
+        else:
+            return uv, res_sup, step, n + 1
+    return uv, res_sup, step, max_steps
 
 
 # --------------------------------------------------------------- lower barrier
@@ -221,20 +283,63 @@ def solve_gen_eq(data, u_init):
 
 @dataclass
 class MonotoneTrace:
+    """Work and history of ``monotone_iterate``.
+
+    ``steps`` and ``mins`` hold each sweep's sup-norm step and the new
+    iterate's minimum; ``iterate_count`` is the number of sweeps.
+    ``newton_steps`` counts the Newton corrections the polish solved for
+    (0 if it never ran), and ``polished`` says whether its answer was
+    returned.  ``final_residual`` is the residual sup-norm of the returned
+    field (of the last sweep when no answer was returned).
+    """
+
     eps0: float
     K: float
     steps: list = field(default_factory=list)
     mins: list = field(default_factory=list)
     final_residual: float = np.inf
+    newton_steps: int = 0
+    polished: bool = False
 
     @property
     def iterate_count(self):
         return len(self.steps)
 
 
+def _polish(coeffs, u_k, psi_v, step_tol, tol_outer, trace):
+    """Newton from the sweep iterate ``u_k``; the polished field if it is
+    finite, positive, meets the sweeps' stop rule and lies in the order
+    interval ``[u_k, psi]`` up to roundoff, else None."""
+    uv, res_sup, step, trace.newton_steps = _damped_newton(
+        coeffs, u_k, target=tol_outer, step_tol=step_tol, max_steps=_MAX_POLISH,
+        max_halvings=_MAX_HALVINGS, lin_tol=1e-12)
+    slack = 1e-12 * max(1.0, float(psi_v.max()))
+    if not (np.all(np.isfinite(uv)) and uv.min() > 0
+            and res_sup <= tol_outer and step < step_tol
+            and np.all(uv >= u_k - slack) and np.all(uv <= psi_v + slack)):
+        return None
+    trace.polished = True
+    trace.final_residual = res_sup
+    return ScalarField(coeffs.a.grid, uv)
+
+
 def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
                      max_outer=2000, callback=None):
     """Sweep upward from the constant lower barrier to a solution below ``psi``.
+
+    The sweeps stop once the sup-norm sweep step is below ``step_tol``
+    *and* the equation residual is below ``tol_outer``.  If they have not
+    stopped after ``_SWEEPS_BEFORE_POLISH`` sweeps, damped Newton on the
+    full residual (at most ``_MAX_POLISH`` steps) starts from the last
+    sweep iterate ``u_k``.  Its answer is returned only if it is finite and
+    positive, its residual is at most ``tol_outer``, its last Newton
+    correction is below ``step_tol``, and it lies in the order interval
+    ``u_k <= u <= psi`` up to a slack of ``1e-12 max(1, sup psi)``.  Such
+    an answer keeps the barrier bounds ``eps0 <= u <= psi`` of the monotone
+    construction, and it lies at or above the sweeps' limit: that limit is
+    the smallest solution above ``u_k``.  If any check fails, or a Newton
+    linear solve raises a ``SolverError``, the sweeps resume from ``u_k``
+    and return exactly what they return without the polish.
 
     Parameters
     ----------
@@ -242,13 +347,12 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
     psi : ScalarField
         Verified upper barrier (residual >= -1e-8 pointwise).
     step_tol, tol_outer : float
-        Stop once the sup-norm sweep step is below ``step_tol`` *and* the
-        equation residual is below ``tol_outer``.
+        Stop rule of the sweeps, and acceptance rule of the polish.
     max_outer : int
         Sweep budget.
     callback : callable, optional
         Called as ``callback(i, values)`` after sweep ``i`` with the new
-        iterate's value array.
+        iterate's value array; once per sweep, never for the polish.
 
     Returns
     -------
@@ -292,6 +396,10 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
             callback(it, uv)
         if step < step_tol and resid <= tol_outer:
             return u, trace
+        if it + 1 == _SWEEPS_BEFORE_POLISH:
+            polished = _polish(coeffs, uv, psi.values, step_tol, tol_outer, trace)
+            if polished is not None:
+                return polished, trace
     raise NonConvergence("monotone sweeps did not settle",
                          iterations=max_outer, residual=trace.final_residual)
 
@@ -341,35 +449,14 @@ def find_supersolution(h, f, a_tilde):
     if best_margin >= -1e-8:
         return ScalarField(g, np.full(g.shape, best_t))
 
-    # stage two: exact nonconstant solution of the reduced equation
-    uv = np.full(g.shape, best_t)
-
-    def reduced_residual(vals):
-        return (_lap_values(g, vals) + h.values * vals
-                - f.values * vals ** (q - 1.0)
-                - a_tilde.values * vals ** (-q - 1.0))
-
-    res = reduced_residual(uv)
-    for _ in range(60):
-        if np.abs(res).max() <= 1e-10:
-            return ScalarField(g, uv)
-        zeroth = ScalarField(
-            g, h.values - (q - 1.0) * f.values * uv ** (q - 2.0)
-            + (q + 1.0) * a_tilde.values * uv ** (-q - 2.0))
-        try:
-            delta = solve_scalar_linear(g, zeroth, None,
-                                        ScalarField(g, -res), tol=1e-11).values
-        except SolverError:
-            break
-        lam, improved = 1.0, False
-        for _ in range(15):
-            trial = uv + lam * delta
-            if trial.min() > 0:
-                res_t = reduced_residual(trial)
-                if np.all(np.isfinite(res_t)) and np.abs(res_t).max() < np.abs(res).max():
-                    uv, res, improved = trial, res_t, True
-                    break
-            lam *= 0.5
-        if not improved:
-            break
+    # stage two: exact nonconstant solution of the reduced equation; the
+    # best constant misses by more than the target, so a step is always due
+    zero = ScalarField(g, np.zeros(g.shape))
+    reduced = LichCoefficients(a=a_tilde, b=zero, c=zero, d=zero, f=f, h=h,
+                               Y=VectorField(g, np.zeros((g.dim,) + g.shape)))
+    uv, res_sup, _, _ = _damped_newton(
+        reduced, np.full(g.shape, best_t), target=1e-10, step_tol=np.inf,
+        max_steps=60, max_halvings=15, lin_tol=1e-11)
+    if res_sup <= 1e-10:
+        return ScalarField(g, uv)
     raise NoSupersolutionFound(best_defect=best_margin, best_value=best_t)

@@ -62,6 +62,9 @@ def test_solve_scalar_smoke(tmp_path):
     assert abs(rep["scalar"]["u_max"] - 1.0) <= 1e-6
     assert abs(rep["scalar"]["u_min"] - 1.0) <= 1e-6
     assert rep["scalar"]["final_residual"] <= 1e-8
+    assert rep["scalar"]["iterations"] >= 1
+    assert isinstance(rep["scalar"]["newton_steps"], int)
+    assert isinstance(rep["scalar"]["polished"], bool)
     assert (out / "u.dcf").exists()
     from driftsolve.fieldio import read_field
     from driftsolve.grid import ScalarField

@@ -10,6 +10,10 @@
 * No function writes into module-level state: no ``global`` statement, and
   no subscript store or ``.update``/``.setdefault``/``.append`` call on a
   name the module binds at top level (unless the function rebinds it).
+* ``scipy`` is imported only inside functions, never when a module loads:
+  importing ``scipy.sparse.linalg`` after numpy took a process's peak
+  resident memory from 27 to 59 MB (numpy 2.4, scipy 1.17, Linux x86-64),
+  and the momentum and physical paths never need it.
 """
 
 import ast
@@ -23,6 +27,7 @@ SPECTRAL = {"fft", "_k2", "_inv_k2", "_ik", "_pair_weight",
             "_unpaired_half", "_kernel_half"}
 NOT_IMPORTED = SPECTRAL | {"_to_real"}
 MUTATORS = {"update", "setdefault", "append"}
+LAZY = {"scipy"}
 
 
 def _imported_names(tree):
@@ -124,6 +129,27 @@ def module_state_writes(source):
     return sorted(found)
 
 
+def eager_imports(source):
+    """(module, line) of each import of a ``LAZY`` package that runs when
+    the module loads: anywhere outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((alias.name, child.lineno) for alias in child.names
+                             if alias.name.split(".")[0] in LAZY)
+            elif (isinstance(child, ast.ImportFrom) and child.level == 0
+                  and child.module.split(".")[0] in LAZY):
+                found.append((child.module, child.lineno))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
 def test_scan_finds_unused_imports():
     source = ("import os\nimport numpy as np\nfrom a.b import c, d as e\n"
               "from x import kept\n__all__ = ['kept']\nprint(np.pi, e)\n")
@@ -160,6 +186,19 @@ def test_scan_finds_module_state_writes():
         "note._SEEN", "put._CACHE"]
 
 
+def test_scan_finds_eager_imports():
+    source = ("import scipy\nimport scipyx, numpy\nfrom scipy.sparse import linalg\n"
+              "from .scipy import local\n"
+              "def solve():\n    from scipy.sparse.linalg import gmres\n"
+              "    import scipy.optimize\n    return gmres\n"
+              "class Holder:\n    import scipy.fft as sf\n"
+              "    def method(self):\n        import scipy.linalg\n"
+              "if linalg:\n    import scipy.special\n"
+              "f = lambda: __import__('scipy')\n")
+    assert eager_imports(source) == [("scipy", 1), ("scipy.sparse", 3),
+                                     ("scipy.fft", 10), ("scipy.special", 14)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
@@ -179,3 +218,8 @@ def test_no_local_is_assigned_and_never_read(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_writes_module_state(path):
     assert module_state_writes(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_is_imported_lazily(path):
+    assert eager_imports(path.read_text()) == []

@@ -321,6 +321,134 @@ def test_monotone_exact_supersolution_stays_below():
     assert np.all(u.values <= u_star.values + 1e-9)
 
 
+# ----------------------------------------------------------- Newton polish
+
+
+def drift_problem(grid):
+    """Criterion-02-like manufactured drift problem; returns (coeffs, u*)."""
+    u_star = sin_s(grid, amp=0.05, offset=1.0)
+    base = dataclasses.replace(constant_coeffs(grid, c=0.3, d=0.2),
+                               Y=const_v(grid, (0.4, 0.0, 0.0)))
+    return with_b(base, manufactured_b(grid, u_star, base)), u_star
+
+
+# tolerances of the fallback tests: tight enough that five sweeps do not
+# stop, loose enough that the resumed sweeps end soon
+FALLBACK_TOLS = {"step_tol": 1e-8, "tol_outer": 1e-8}
+
+
+@pytest.fixture(scope="module")
+def pure_sweeps():
+    """The 8^3 drift problem solved by sweeps alone."""
+    g = GridSpec(dim=3, n_axis=8)
+    coeffs, u_star = drift_problem(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driftsolve.scalar, "_SWEEPS_BEFORE_POLISH", 10**6)
+        u, trace = monotone_iterate(coeffs, u_star, **FALLBACK_TOLS)
+    assert trace.newton_steps == 0 and not trace.polished
+    return coeffs, u_star, u, trace
+
+
+def test_polish_finishes_after_five_sweeps(monkeypatch):
+    g = GridSpec(dim=3, n_axis=8)
+    coeffs, u_star = drift_problem(g)
+    real = driftsolve.scalar.solve_scalar_linear
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(driftsolve.scalar, "solve_scalar_linear", counted)
+    sweeps = []
+    u, trace = monotone_iterate(coeffs, u_star, callback=lambda i, v: sweeps.append(i))
+    assert trace.polished
+    assert trace.iterate_count <= 5
+    assert sweeps == list(range(trace.iterate_count))
+    assert trace.newton_steps >= 1
+    assert len(calls) <= 30
+    assert np.abs(u.values - u_star.values).max() <= 1e-12
+    assert trace.final_residual <= 1e-9
+
+
+@pytest.mark.parametrize("leave", [
+    lambda uv, u_k: uv + 1e-3,   # above the barrier
+    lambda uv, u_k: u_k - 1e-3,  # below the last sweep iterate
+], ids=["above-psi", "below-u_k"])
+def test_polish_outside_order_interval_is_rejected(monkeypatch, pure_sweeps, leave):
+    coeffs, u_star, u_ref, trace_ref = pure_sweeps
+    real = driftsolve.scalar._damped_newton
+
+    def displaced(coeffs, uv, *args, **kwargs):
+        out, res_sup, step, n = real(coeffs, uv, *args, **kwargs)
+        return leave(out, uv), res_sup, step, n
+
+    monkeypatch.setattr(driftsolve.scalar, "_damped_newton", displaced)
+    u, trace = monotone_iterate(coeffs, u_star, **FALLBACK_TOLS)
+    assert not trace.polished
+    assert trace.newton_steps >= 1
+    assert np.array_equal(u.values, u_ref.values)
+    assert trace.steps == trace_ref.steps
+    assert trace.final_residual == trace_ref.final_residual
+
+
+def test_polish_solver_error_resumes_sweeps(monkeypatch, pure_sweeps):
+    coeffs, u_star, u_ref, trace_ref = pure_sweeps
+    real_solve = driftsolve.scalar.solve_scalar_linear
+    real_linearize = driftsolve.scalar.linearize
+    jacobians = []
+
+    def recorded(u, coeffs):
+        op = real_linearize(u, coeffs)
+        jacobians.append(op.zeroth)
+        return op
+
+    def failing(grid, h, drift, rhs, **kwargs):
+        if any(h is z for z in jacobians):
+            raise NonConvergence("linear scalar solve stalled", iterations=4, residual=1.0)
+        return real_solve(grid, h, drift, rhs, **kwargs)
+
+    monkeypatch.setattr(driftsolve.scalar, "linearize", recorded)
+    monkeypatch.setattr(driftsolve.scalar, "solve_scalar_linear", failing)
+    u, trace = monotone_iterate(coeffs, u_star, **FALLBACK_TOLS)
+    assert len(jacobians) == 1  # one polish, stopped at its first solve
+    assert not trace.polished and trace.newton_steps == 0
+    assert trace.iterate_count == trace_ref.iterate_count > 5
+    assert np.array_equal(u.values, u_ref.values)
+
+
+def test_monotone_two_sweep_budget_raises():
+    # a budget below the polish point ends in NonConvergence, as before
+    g = GridSpec(dim=3, n_axis=8)
+    coeffs, u_star = drift_problem(g)
+    with pytest.raises(NonConvergence) as err:
+        monotone_iterate(coeffs, u_star, max_outer=2)
+    assert err.value.iterations == 2
+
+
+def test_reduced_newton_terms_are_the_hand_written_ones():
+    # with b = c = d = 0 and Y = 0 the full residual and its linearization
+    # are bit-for-bit the reduced equation's
+    from driftsolve.grid import _lap_values
+    from driftsolve.stability import linearize
+
+    g = GridSpec(dim=3, n_axis=8)
+    q = g.q
+    h, f, at = sin_s(g, amp=0.9, offset=1.0), const_s(g, 0.5), const_s(g, 0.03)
+    zero = const_s(g, 0.0)
+    coeffs = LichCoefficients(a=at, b=zero, c=zero, d=zero, f=f, h=h, Y=zero_v(g))
+    u = sin_s(g, axis=1, amp=0.2, offset=1.3)
+    uv = u.values
+    res = driftsolve.scalar._residual_values(g, uv, at.values, coeffs)
+    assert np.array_equal(res, _lap_values(g, uv) + h.values * uv
+                          - f.values * uv ** (q - 1.0) - at.values * uv ** (-q - 1.0))
+    op = linearize(u, coeffs)
+    assert np.array_equal(op.zeroth.values,
+                          h.values - (q - 1.0) * f.values * uv ** (q - 2.0)
+                          + (q + 1.0) * at.values * uv ** (-q - 2.0))
+    assert not np.any(op.first.values)
+
+
 # ------------------------------------------------------------ supersolutions
 
 
