@@ -220,32 +220,27 @@ def _run_solve_momentum(cfg, grid, report, out_dir, dump):
     return 0
 
 
-def _hypotheses_dict(rep):
-    return _native(dataclasses.asdict(rep))
+def _grade_system(cfg, report, sys_coeffs, a_tilde):
+    """Grade the system into the report; False if a hypothesis fails."""
+    c_n = float(cfg.get("hypotheses", {}).get("c_n", 1.0))
+    rep = check_hypotheses(sys_coeffs, a_tilde, c_n=c_n)
+    report["hypotheses"] = _native(dataclasses.asdict(rep))
+    if any(v == "FAIL" for v in rep.verdicts.values()):
+        report["status"] = "hypothesis-fail"
+        return False
+    return True
 
 
 def _run_check_hypotheses(cfg, grid, report, out_dir, dump):
     sec = _section(cfg, "system", "check-hypotheses")
-    sys_coeffs, a_tilde = _system_from(grid, sec)
-    rep = check_hypotheses(sys_coeffs, a_tilde)
-    c_n = float(cfg.get("hypotheses", {}).get("c_n", 1.0))
-    if c_n != 1.0:
-        rep = dataclasses.replace(rep, l1_rhs=rep.l1_rhs * c_n)
-    report["hypotheses"] = _hypotheses_dict(rep)
-    if any(v == "FAIL" for v in rep.verdicts.values()):
-        report["status"] = "hypothesis-fail"
-        return 2
-    return 0
+    return 0 if _grade_system(cfg, report, *_system_from(grid, sec)) else 2
 
 
 def _run_solve_coupled(cfg, grid, report, out_dir, dump):
     sec = _section(cfg, "system", "solve-coupled")
     tol = float(cfg.get("tolerances", {}).get("outer", 1e-9))
     sys_coeffs, a_tilde = _system_from(grid, sec)
-    hyp = check_hypotheses(sys_coeffs, a_tilde)
-    report["hypotheses"] = _hypotheses_dict(hyp)
-    if any(v == "FAIL" for v in hyp.verdicts.values()):
-        report["status"] = "hypothesis-fail"
+    if not _grade_system(cfg, report, sys_coeffs, a_tilde):
         return 2
     u, w, crep = fixed_point_solve(sys_coeffs, a_tilde, tol_outer=tol)
     report["coupled"] = _native(dataclasses.asdict(crep))

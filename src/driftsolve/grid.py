@@ -369,12 +369,6 @@ def _unpaired_fraction(grid, vals):
     return float(np.sqrt(power[grid._unpaired_half].sum())) / total
 
 
-def _grad_sq_sum(grid, hat):
-    """Grid sum of ``|grad v|^2`` times the point count, by Parseval on
-    the half spectrum of v."""
-    return float(np.sum(grid._pair_weight * grid._k2 * (hat.real**2 + hat.imag**2)))
-
-
 def c2_surrogate(u):
     """Cheap stand-in for a C^2 norm: sup|u| + sup|grad u| + sup|Hess u|."""
     g = u.grid

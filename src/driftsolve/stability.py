@@ -6,12 +6,12 @@ The linearized operator at a solution ``u`` acts as
 
 and its smallest eigenvalue decides whether the solution sits at a stable
 branch point.  With drift the operator is not symmetric, but the ground
-state is still real with a sign-definite eigenfunction, which a block
-preconditioned Davidson iteration recovers and certifies.  Its
-preconditioner is the Fourier symbol ``|k|^2 + mean(zeroth) + k_lin``, a
-diagonal division, so the eigen iteration nests no linear solve.  The
-basis is capped at 48 vectors (eight per kept Ritz pair) and
-thick-restarted from the kept Ritz vectors when full.
+state is still real with a sign-definite eigenfunction, which a
+preconditioned Davidson iteration on a single Ritz pair recovers and
+certifies.  Its preconditioner is the Fourier symbol
+``|k|^2 + mean(zeroth) + k_lin``, a diagonal division, so the eigen
+iteration nests no linear solve.  The basis is capped at 48 vectors and
+restarted from the current Ritz vector when full.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from .errors import NonConvergence, SignIndefiniteEigenfunction
 from .grid import (ScalarField, VectorField, _scalar_op_values, _shifted_lap_inverse,
                    _unpaired_fraction, gradient)
 
-# Ritz pairs kept and expanded per Davidson iteration
-_BLOCK = 6
-# Davidson basis rows per block column.  A tighter cap restarts too often to
-# split a ground state from an exactly degenerate twin of unpaired-mode
-# content: at 4 or 5, the 8^3 drift operator of the dense-oracle test
-# converges to a sign-changing mixture of the two.
-_BASIS_PER_BLOCK = 8
+# Davidson basis size at which the iteration restarts from its Ritz vector.
+# A tighter cap restarts too often: at 6 or 8 the 8^3 drift operator of the
+# dense-oracle test does not converge within 800 iterations, and at 12 or 16
+# the band-limited 16^3 drift operators take up to 1.6x the applies of 24 to
+# 64, which all take the same.
+_BASIS_CAP = 48
 # relative size below which an orthogonalized correction counts as already
 # in the basis
 _DROP = 1e-10
@@ -105,23 +104,23 @@ def _starting_block(grid, m):
 def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
     """Ground eigenpair of the linearized operator.
 
-    Block preconditioned Davidson iteration.  An orthonormal basis and its
-    image under the operator grow from the smooth ``_starting_block``; every
-    iteration projects the operator onto the basis and walks the Ritz pairs
-    upward, keeping up to six acceptable ones.  Two kinds of Ritz pairs
-    are rejected: complex pairs, and pairs whose vector carries more than 1%
-    unpaired-highest-mode content -- the zeroed derivative symbols make such
-    modes artificially cheap, so they can sit below the physical ground
-    state without being eigenfunctions of the resolved problem.  The lowest
-    kept pair is tested with a fresh apply; then the basis grows by the
-    kept pairs' residuals, preconditioned by division by the Fourier symbol
-    ``|k|^2 + mean(zeroth) + k_lin`` (at least 1, so no linear solve is
-    needed) and orthogonalized by classical Gram-Schmidt run twice.
-    Directions already in the basis are dropped.  The basis holds at most
-    48 vectors: when a step would exceed that, it restarts from the kept
-    Ritz vectors, whose images follow by the same combinations.
-    An iteration that finds no acceptable pair grows the basis from the
-    lowest six Ritz pairs instead.
+    Preconditioned Davidson iteration on one Ritz pair.  An orthonormal
+    basis and its image under the operator grow from the constant column of
+    the smooth ``_starting_block``; every iteration projects the operator
+    onto the basis and walks the Ritz pairs upward to the lowest acceptable
+    one.  Two kinds of Ritz pairs are rejected: complex pairs, and pairs
+    whose vector carries more than 1% unpaired-highest-mode content -- the
+    zeroed derivative symbols make such modes artificially cheap, so they
+    can sit below the physical ground state without being eigenfunctions of
+    the resolved problem.  The kept pair is tested with a fresh apply; then
+    the basis grows by its residual, preconditioned by division by the
+    Fourier symbol ``|k|^2 + mean(zeroth) + k_lin`` (at least 1, so no
+    linear solve is needed) and orthogonalized by classical Gram-Schmidt
+    run twice.  A direction already in the basis is dropped.  The basis
+    holds at most 48 vectors: when it is full, it restarts from the Ritz
+    vector, whose image follows by the same combination.  An iteration that
+    finds no acceptable pair grows the basis from the lowest Ritz pair
+    instead.
 
     Stops once the eigen-residual ``L phi - lambda phi`` is below ``tol`` in
     L2 relative to ``phi``.  The reported eigenvalue is the final Rayleigh
@@ -144,67 +143,61 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
     zeroth = op.zeroth.values
     drift = op.first.values if op.first is not None and np.any(op.first.values) else None
     precond = _shifted_lap_inverse(g, float(np.mean(zeroth)) + op.k_lin)
-    cap = _BASIS_PER_BLOCK * _BLOCK
-    basis = np.empty((cap, zeroth.size))
+    basis = np.empty((_BASIS_CAP, zeroth.size))
     image = np.empty_like(basis)
 
-    def grow(m, rows):
-        """Append the directions of ``rows`` the basis lacks; new size."""
-        for row in rows:
-            t = np.array(row, dtype=np.float64)
-            size = np.linalg.norm(t)
-            for _ in range(2):
-                t -= (basis[:m] @ t) @ basis[:m]
-            nrm = np.linalg.norm(t)
-            if nrm <= _DROP * size:
-                continue
-            basis[m] = t / nrm
-            image[m] = _scalar_op_values(g, zeroth, drift, basis[m].reshape(g.shape)).ravel()
-            m += 1
-        return m
+    def apply(flat):
+        return _scalar_op_values(g, zeroth, drift, flat.reshape(g.shape)).ravel()
 
-    m = grow(0, _starting_block(g, _BLOCK).T)
+    def grow(m, t):
+        """Append the direction of ``t`` unless the basis has it; new size."""
+        size = np.linalg.norm(t)
+        for _ in range(2):
+            t = t - (basis[:m] @ t) @ basis[:m]
+        nrm = np.linalg.norm(t)
+        if nrm <= _DROP * size:
+            return m
+        basis[m] = t / nrm
+        image[m] = apply(basis[m])
+        return m + 1
+
+    m = grow(0, _starting_block(g, 1)[:, 0])
     resid = np.inf
     for _ in range(max_iter):
         ritz_vals, ritz_vecs = np.linalg.eig(basis[:m] @ image[:m].T)
         order = np.argsort(ritz_vals.real)
-        picks = []
+        accepted = False
         for i in order:
             if abs(ritz_vals[i].imag) > 1e-10 * (1.0 + abs(ritz_vals[i].real)):
                 continue
             vec = ritz_vecs[:, i].real @ basis[:m]
-            if _unpaired_fraction(g, vec.reshape(g.shape)) > 0.01:
-                continue
-            picks.append(i)
-            if len(picks) == _BLOCK:
+            if _unpaired_fraction(g, vec.reshape(g.shape)) <= 0.01:
+                accepted = True
                 break
-        accepted = bool(picks)
         if not accepted:
-            picks = order[:_BLOCK]
-        coef = ritz_vecs[:, picks].real
-        thetas = ritz_vals[picks].real
-        vecs = coef.T @ basis[:m]
-        resids = coef.T @ image[:m] - thetas[:, None] * vecs
+            i = order[0]
+        coef = ritz_vecs[:, i].real
+        x = coef @ basis[:m]
         if accepted:
-            x0 = vecs[0]
-            ax = _scalar_op_values(g, zeroth, drift, x0.reshape(g.shape)).ravel()
-            lam = float(x0 @ ax / (x0 @ x0))
-            resids[0] = ax - lam * x0
-            resid = float(np.linalg.norm(resids[0]) / np.linalg.norm(x0))
+            ax = apply(x)
+            lam = float(x @ ax / (x @ x))
+            r = ax - lam * x
+            resid = float(np.linalg.norm(r) / np.linalg.norm(x))
             if resid <= tol:
                 break
-        steps = [precond(r) for r in resids]
-        if m + len(steps) > cap:
-            keep, _ = np.linalg.qr(coef)
-            basis[:keep.shape[1]] = keep.T @ basis[:m]
-            image[:keep.shape[1]] = keep.T @ image[:m]
-            m = keep.shape[1]
-        m = grow(m, steps)
+        else:
+            r = coef @ image[:m] - ritz_vals[i].real * x
+        if m == _BASIS_CAP:
+            nrm = np.linalg.norm(coef)
+            image[0] = coef @ image[:m] / nrm
+            basis[0] = x / nrm
+            m = 1
+        m = grow(m, precond(r))
     else:
         raise NonConvergence("eigenvalue iteration stalled",
                              iterations=max_iter, residual=resid)
 
-    phi = x0.reshape(g.shape)
+    phi = x.reshape(g.shape)
     phi = phi / np.sqrt(np.mean(phi**2) * g.volume)
     if float(phi.mean()) < 0:
         phi = -phi

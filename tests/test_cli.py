@@ -162,6 +162,22 @@ def test_hypotheses_pass_exits_0(tmp_path):
     assert rep["hypotheses"]["theta"] == pytest.approx(0.3)
 
 
+def test_c_n_scales_l1_rhs_in_both_grading_modes(tmp_path):
+    l1_rhs = {}
+    for c_n in (1.0, 3.0):
+        cfg = system_config()
+        cfg["hypotheses"] = {"c_n": c_n}
+        path = write_config(tmp_path, cfg, name=f"c{c_n}.json")
+        for mode in ("check-hypotheses", "solve-coupled"):
+            out = tmp_path / f"{mode}-{c_n}"
+            assert main([mode, "--config", str(path), "--out", str(out)]) == 0
+            l1_rhs[mode, c_n] = load_report(out)["hypotheses"]["l1_rhs"]
+    assert l1_rhs["check-hypotheses", 1.0] > 0
+    for mode in ("check-hypotheses", "solve-coupled"):
+        assert l1_rhs[mode, 3.0] == pytest.approx(3.0 * l1_rhs[mode, 1.0], rel=1e-15)
+        assert l1_rhs[mode, 1.0] == l1_rhs["check-hypotheses", 1.0]
+
+
 def test_solver_failure_exits_3_with_report(tmp_path):
     cfg = write_config(tmp_path, scalar_config(a=10.0, psi=None))
     out = tmp_path / "out"

@@ -1,4 +1,4 @@
-"""Hypothesis checks, Sobolev-constant ascent, and the coupled driver."""
+"""Hypothesis checks, the closed-form Sobolev bound, and the coupled driver."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from driftsolve.errors import (
 )
 from driftsolve.grid import GridSpec, ScalarField, SymTensorField, sup_norm
 from driftsolve.scalar import LichCoefficients, find_supersolution, monotone_iterate
+from driftsolve.stability import coercivity_eigenvalue
 
 from util import const_s, sin_s, vec_with, zero_t, zero_v
 
@@ -93,23 +94,52 @@ def test_sobolev_estimate_dominates_constant_test_function():
     assert est >= 1.6252523020247696e-05 * (1 - 1e-12)
 
 
-def test_sobolev_estimate_is_attained_quotient():
+def test_sobolev_estimate_is_talenti_constant_in_dim_3():
     g = GridSpec(dim=3, n_axis=16)
-    est, v = estimate_sobolev_constant(const_s(g, 1.0), return_maximizer=True)
-    q = g.q
-    from driftsolve.grid import gradient
-
-    num = float(np.mean(np.abs(v.values) ** q) * g.volume)
-    gv = gradient(v).values
-    den = float((np.mean(np.sum(gv**2, axis=0)) + np.mean(v.values**2)) * g.volume)
-    assert est == pytest.approx(num / den ** (q / 2.0), rel=1e-8)
+    est = estimate_sobolev_constant(const_s(g, 1.0))
+    assert est == pytest.approx(16.0 / (27.0 * np.pi**4), rel=1e-12)
 
 
-def test_sobolev_estimate_decreases_in_h():
+@pytest.mark.parametrize("dim, value", [(4, 0.0094989), (5, 0.0111939)])
+def test_sobolev_estimate_sharp_constant_dims_4_5(dim, value):
+    g = GridSpec(dim=dim, n_axis=8)
+    assert estimate_sobolev_constant(const_s(g, 1.0)) == pytest.approx(value, abs=1e-7)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.05])
+def test_sobolev_estimate_does_not_depend_on_resolution(h):
+    est = [estimate_sobolev_constant(const_s(GridSpec(dim=3, n_axis=n), h))
+           for n in (8, 16, 32)]
+    assert est == pytest.approx([est[0]] * 3, rel=1e-12)
+
+
+def test_sobolev_estimate_does_not_increase_in_h():
     g = GridSpec(dim=3, n_axis=16)
-    e1 = estimate_sobolev_constant(const_s(g, 1.0))
-    e4 = estimate_sobolev_constant(const_s(g, 4.0))
-    assert e4 < e1
+    levels = [0.02, 0.05, 0.1, 0.2, 1.0, 4.0]
+    est = [estimate_sobolev_constant(const_s(g, h)) for h in levels]
+    assert all(b <= a for a, b in zip(est, est[1:]))
+    sharp = 16.0 / (27.0 * np.pi**4)
+    assert est[-1] == est[-2] == pytest.approx(sharp, rel=1e-12)
+    # for small mean(h) the constant function's quotient wins
+    for h, e in zip(levels[:2], est[:2]):
+        assert e == pytest.approx(g.volume**-2 * h**-3, rel=1e-12)
+        assert e > 2.0 * sharp
+
+
+def test_check_hypotheses_solves_one_eigenproblem(monkeypatch):
+    import driftsolve.coupled as coupled
+
+    calls = []
+
+    def counted(h, **kwargs):
+        calls.append(h)
+        return coercivity_eigenvalue(h, **kwargs)
+
+    monkeypatch.setattr(coupled, "coercivity_eigenvalue", counted)
+    g = GridSpec(dim=3, n_axis=16)
+    rep = check_hypotheses(make_sys(g, rho1=0.5), const_s(g, 0.7))
+    assert len(calls) == 1
+    assert rep.sh_estimate == pytest.approx(16.0 / (27.0 * np.pi**4), rel=1e-12)
 
 
 def test_sobolev_estimate_requires_coercivity():

@@ -10,6 +10,9 @@
 * No function writes into module-level state: no ``global`` statement, and
   no subscript store or ``.update``/``.setdefault``/``.append`` call on a
   name the module binds at top level (unless the function rebinds it).
+* Every ``_``-prefixed module-level function, class or constant is referred
+  to somewhere in the package outside its own definition, so a private
+  helper whose last caller went away does not linger.
 * ``scipy`` is imported only inside functions, never when a module loads:
   importing ``scipy.sparse.linalg`` after numpy took a process's peak
   resident memory from 27 to 59 MB (numpy 2.4, scipy 1.17, Linux x86-64),
@@ -129,6 +132,43 @@ def module_state_writes(source):
     return sorted(found)
 
 
+def _references(node):
+    """Names a node loads, as bare names or as attributes."""
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+    return refs
+
+
+def _private_definitions(node):
+    """``_``-prefixed, non-dunder names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unreferenced_privates(sources):
+    """``module.name`` of each private module-level definition that no
+    top-level statement of ``sources`` (module name -> text) refers to,
+    apart from the statement that defines it."""
+    defined, referenced = [], {}
+    for module, source in sources.items():
+        for i, node in enumerate(ast.parse(source).body):
+            key = (module, i)
+            referenced[key] = _references(node)
+            defined += [(module, name, key) for name in _private_definitions(node)]
+    return [f"{module}.{name}" for module, name, key in defined
+            if not any(name in refs for other, refs in referenced.items() if other != key)]
+
+
 def eager_imports(source):
     """(module, line) of each import of a ``LAZY`` package that runs when
     the module loads: anywhere outside a function body."""
@@ -197,6 +237,23 @@ def test_scan_finds_eager_imports():
               "f = lambda: __import__('scipy')\n")
     assert eager_imports(source) == [("scipy", 1), ("scipy.sparse", 3),
                                      ("scipy.fft", 10), ("scipy.special", 14)]
+
+
+def test_scan_finds_unreferenced_privates():
+    sources = {
+        "a": ("_LIMIT = 3\n_SPARE: int = 4\n__all__ = ['run']\n"
+              "def _helper(x):\n    return _helper(x - 1) if x else _LIMIT\n"
+              "def _used():\n    return 1\n"
+              "def run():\n    return _used()\n"
+              "class _Unused:\n    pass\n"),
+        "b": "from a import run\n_TABLE = {'run': run}\nprint(a_mod._SPARE, _TABLE)\n",
+    }
+    assert unreferenced_privates(sources) == ["a._helper", "a._Unused"]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unreferenced_privates(sources) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
