@@ -23,6 +23,7 @@ from .errors import (
     SignIndefiniteEigenfunction,
     SingularOperator,
     SolverError,
+    UnderResolved,
 )
 from .grid import GridSpec, ScalarField, SymTensorField, VectorField
 from .coupled import SystemCoefficients, check_hypotheses, fixed_point_solve
@@ -70,6 +71,7 @@ __all__ = [
     "SingularOperator",
     "SolverError",
     "SymTensorField",
+    "UnderResolved",
     "VectorField",
 ]
 

@@ -162,6 +162,7 @@ def _kernel_dict(kernel):
         "unresolved": float(kernel.unresolved),
         "iterations": int(kernel.iterations),
         "residual": float(kernel.residual),
+        "ratios": [float(r) for r in kernel.ratios],
     }
 
 

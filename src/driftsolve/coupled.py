@@ -64,7 +64,7 @@ class SystemCoefficients:
     to grade the system, and let the solvers raise on genuinely unusable
     coefficients.  ``rhs_mode`` is ``"zero"`` (decoupled vector source) or
     ``"abstract"`` (source rebuilt from ``rhs`` at the current scalar
-    iterate).
+    iterate); ``rhs`` is given exactly in the abstract mode.
     """
 
     b: ScalarField
@@ -85,6 +85,9 @@ class SystemCoefficients:
             raise ConfigError(f"unknown rhs_mode {self.rhs_mode!r}")
         if self.rhs_mode == "abstract" and self.rhs is None:
             raise ConfigError("rhs_mode 'abstract' needs rhs inputs")
+        if self.rhs_mode == "zero" and self.rhs is not None:
+            raise ConfigError("rhs_mode 'zero' builds no vector source; "
+                              "rhs inputs would be graded but never solved")
 
 
 @dataclass

@@ -83,6 +83,27 @@ class ContractionViolated(SolverError):
     outside its contraction regime."""
 
 
+class UnderResolved(SolverError):
+    """The grid is too coarse for the data: more of it lives on the unpaired
+    highest-mode planes, which the discrete operators cannot represent, than
+    a solve may drop.
+
+    Attributes
+    ----------
+    content : float
+        Sup norm of the data's unpaired-plane content.
+    limit : float
+        Largest content the solve accepts for this data.
+    """
+
+    def __init__(self, content, limit):
+        super().__init__(
+            f"unpaired-plane content {content:.3e} exceeds the limit {limit:.3e}; "
+            "refine the grid")
+        self.content = content
+        self.limit = limit
+
+
 class ConditionViolated(SolverError):
     """A pointwise hypothesis of the coupled iteration failed.
 

@@ -313,23 +313,23 @@ def lame_invert(x):
     return VectorField(g, out)
 
 
-def _project_solvable(grid, comps, measure=False):
+def _project_solvable(grid, comps):
     """Zero the mean and the unpaired planes of each component.
 
-    With ``measure`` also returns the sup norm of the largest removed
-    unpaired-plane content, the mean left out; otherwise 0.
+    Returns the projected components and the sup norm of the largest removed
+    unpaired-plane content, the mean left out.  The Lame solve projects its
+    data once with this; its iterates need no projection, because
+    :func:`lame_invert` already maps the operator kernel to zero.
     """
     out = np.empty_like(comps)
     removed = 0.0
     for j in range(grid.dim):
         hat = _rfft(comps[j])
         hat[(0,) * grid.dim] = 0.0
-        if measure:
-            kept = hat.copy()
+        cut = np.where(grid._unpaired_half, hat, 0.0)
         hat[grid._unpaired_half] = 0.0
         out[j] = _to_real(grid, hat)
-        if measure:
-            removed = max(removed, np.abs(_to_real(grid, kept - hat)).max())
+        removed = max(removed, np.abs(_to_real(grid, cut)).max())
     return out, removed
 
 

@@ -4,15 +4,19 @@ The vector ("momentum") equation is ``div(rho3 * cdev(W)) = X`` with
 ``cdev`` the trace-free symmetrized derivative (:func:`grid.conformal_killing`)
 and ``rho3`` a strictly positive weight.  Constants span the kernel, and with
 the derivative convention of :mod:`grid` the discrete cokernel also contains
-the unpaired highest modes, so right-hand sides are projected onto the
+the unpaired highest modes, so the right-hand side is projected once onto the
 solvable subspace; the report records both what was removed and the residual
-against the projected data.
+against the projected data.  Data whose unpaired-plane content exceeds
+``_UNRESOLVED_LIMIT`` of its scale is refused with :class:`UnderResolved`
+before any iteration: the grid is too coarse to hold it.
 
 Variable ``rho3`` is handled by defect correction: repeatedly invert the
-constant-coefficient operator on the current residual divided by ``rho3``.
-The iteration contracts when ``rho3`` is gentle (small gradient relative to
-the closed-form operator constant ``length / (2 pi)`` of :func:`estimate_C1`)
-and is guarded both a priori and empirically.
+constant-coefficient operator on the current residual divided by ``rho3``
+(:func:`grid.lame_invert` maps the operator kernel to zero, so the iterate
+needs no projection of its own).  The iteration contracts when ``rho3`` is
+gentle (small gradient relative to the closed-form operator constant
+``length / (2 pi)`` of :func:`estimate_C1`) and is guarded both a priori and
+empirically.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractionViolated, NonConvergence, NonPositiveField
+from .errors import ContractionViolated, NonConvergence, NonPositiveField, UnderResolved
 from .grid import (
     ScalarField,
     VectorField,
@@ -59,7 +63,8 @@ class KernelReport:
     projected : bool
         Whether any content had to be removed to make the data solvable.
     unresolved : float
-        Sup-norm of removed unpaired-mode content (beyond the mean).
+        Sup-norm of removed unpaired-mode content (beyond the mean); at most
+        ``_UNRESOLVED_LIMIT * max(1, sup|X|)``, or the solve is refused.
     iterations : int
         Defect-correction steps taken.
     residual : float
@@ -74,6 +79,16 @@ class KernelReport:
     iterations: int
     residual: float
     ratios: list
+
+
+# Largest unpaired-plane content, relative to max(1, sup|X|), that a solve
+# accepts.  The solver drops that content, and the reconstruction reads it
+# back as a Codazzi defect of 3.8-4.5 times its size (criterion 11 at n=32:
+# content 5.2e-9, Codazzi 2.0e-8; the benchmark's physical problem: 1.8e-5,
+# 8.0e-5).  Below 1e-7 the Codazzi residual stays under criterion 11's 1e-6.
+# Data that solves carries at most 3.9e-9 of its scale; the under-resolved
+# data of the tests and benchmark carries at least 6.6e-6.
+_UNRESOLVED_LIMIT = 1e-7
 
 
 def _apply_operator(rho3, w_vals):
@@ -103,6 +118,9 @@ def solve_lame(prob, tol=1e-10, max_iter=60):
     ContractionViolated
         If ``sup|grad rho3| >= 1 / (2 C1)`` with ``C1 = estimate_C1(grid)``,
         or the residuals grow for two consecutive steps.
+    UnderResolved
+        Before any step, if the data's unpaired-plane content exceeds
+        ``_UNRESOLVED_LIMIT * max(1, sup|X|)``.
     NonConvergence
         If the iteration budget runs out above tolerance.
     """
@@ -115,12 +133,14 @@ def solve_lame(prob, tol=1e-10, max_iter=60):
             f"{1.0 / (2.0 * c1):.4f}")
 
     defect = prob.x.values.mean(axis=tuple(range(1, 1 + g.dim)))
-    xp, unresolved = _project_solvable(g, prob.x.values, measure=True)
+    xp, unresolved = _project_solvable(g, prob.x.values)
     scale = max(1.0, sup_norm(prob.x))
+    if unresolved > _UNRESOLVED_LIMIT * scale:
+        raise UnderResolved(content=unresolved, limit=_UNRESOLVED_LIMIT * scale)
     rho = prob.rho3.values
 
     w_vals = np.zeros_like(xp)
-    r = xp.copy()
+    r = xp
     resids = [float(np.abs(r).max())]
     while resids[-1] > tol * scale:
         if len(resids) > max_iter:
@@ -130,13 +150,11 @@ def solve_lame(prob, tol=1e-10, max_iter=60):
             raise ContractionViolated(
                 f"vector defect correction diverges: residuals "
                 f"{resids[-3]:.3e} -> {resids[-2]:.3e} -> {resids[-1]:.3e}")
-        guess, _ = _project_solvable(g, r / rho)
-        w_vals = w_vals + lame_invert(VectorField(g, guess)).values
+        w_vals = w_vals + lame_invert(VectorField(g, r / rho)).values
         r = xp - _apply_operator(prob.rho3, w_vals)
         resids.append(float(np.abs(r).max()))
 
-    base = max(scale, 1e-300)
-    ratios = [resids[0] / base] + [
+    ratios = [resids[0] / scale] + [
         resids[i] / resids[i - 1] if resids[i - 1] > 0 else 0.0
         for i in range(1, len(resids))
     ]

@@ -208,6 +208,9 @@ def test_solve_momentum_mode(tmp_path):
     assert rep["momentum"]["kernel"]["residual"] <= 1e-9
     assert max(abs(d) for d in rep["momentum"]["kernel"]["defect"]) <= 1e-12
     assert rep["momentum"]["w_sup"] == pytest.approx(0.75, abs=1e-6)
+    ratios = rep["momentum"]["kernel"]["ratios"]
+    assert len(ratios) == rep["momentum"]["kernel"]["iterations"] + 1
+    assert ratios[0] == pytest.approx(1.0, abs=1e-12)  # sup|X| = 1 is the scale
     assert (out / "w.dcf").exists()
 
 
@@ -249,9 +252,32 @@ def test_map_physical_mode(tmp_path):
     assert rep["physical"]["kappa"] == pytest.approx(0.125)
     assert rep["physical"]["hamiltonian_sup"] <= 1e-12
     assert rep["physical"]["codazzi_sup"] <= 1e-12
+    assert rep["physical"]["kernel"]["ratios"] == [0.0]  # the vacuum has no source
     assert "flags" in rep["physical"]
     assert {r["id"] for r in rep["physical"]["records"]} >= {
         "rho3 reading", "rho1 linear-vs-squared pi"}
+
+
+def test_map_physical_under_resolved_exits_3(tmp_path):
+    # criterion 11's drift data at n_axis=16
+    sine = {"fourier": [{"wavevector": [1, 0, 0], "sin_amp": 1.0}]}
+    cfg = write_config(tmp_path, {
+        "grid": {"dim": 3, "n_axis": 16},
+        "physical": {
+            "tau_star": 0.3,
+            "v_coeffs": [1.0],
+            "u": {"constant": 1.0,
+                  "fourier": [{"wavevector": [1, 0, 0], "sin_amp": 0.2}]},
+            "n_tilde": {"constant": 1.0,
+                        "fourier": [{"wavevector": [0, 0, 1], "sin_amp": 0.2}]},
+            "v_tilde": {"components": [sine, {"constant": 0.0}, {"constant": 0.0}]},
+        },
+    })
+    out = tmp_path / "out"
+    assert main(["map-physical", "--config", str(cfg), "--out", str(out)]) == 3
+    rep = load_report(out)
+    assert rep["status"] == "solver-error"
+    assert rep["error"]["type"] == "UnderResolved"
 
 
 def test_fields_follow_grid_length(tmp_path):

@@ -1,5 +1,7 @@
 """Hypothesis checks, the closed-form Sobolev bound, and the coupled driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from driftsolve.coupled import (
 )
 from driftsolve.errors import (
     ConditionViolated,
+    ConfigError,
     NonConvergence,
     NotCoercive,
 )
@@ -45,6 +48,17 @@ def small_rhs(grid):
         pi=const_s(grid, 1e-3),
         psi=sin_s(grid, axis=1),
     )
+
+
+def test_rhs_mode_and_rhs_inputs_must_agree():
+    # rhs inputs in the zero mode would be graded into c_r by
+    # check_hypotheses and never solved for
+    g = GridSpec(dim=3, n_axis=8)
+    sys = make_sys(g, rho1=0.3)
+    with pytest.raises(ConfigError, match="'zero'"):
+        dataclasses.replace(sys, rhs=small_rhs(g))
+    with pytest.raises(ConfigError, match="'abstract'"):
+        dataclasses.replace(sys, rhs_mode="abstract")
 
 
 # --------------------------------------------------------------- hypotheses

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from driftsolve.errors import UnderResolved
 from driftsolve.grid import (
     GridSpec,
     ScalarField,
@@ -15,6 +16,7 @@ from driftsolve.grid import (
     gradient,
     sup_norm,
 )
+from driftsolve.momentum import _UNRESOLVED_LIMIT, momentum_rhs, q_correction, torus_basis
 from driftsolve.physical import (
     PhysicalParameters,
     constraint_residuals,
@@ -343,3 +345,25 @@ def test_solve_drift_momentum_nonconstant_factor_closes_codazzi():
     data = reconstruct_data(u, w, used)
     _, cod = constraint_residuals(data, phys)
     assert sup_norm(cod) <= 1e-6
+
+
+def test_solve_drift_momentum_refuses_under_resolved_source():
+    # criterion 11's drift data on a grid too coarse for its source
+    g = GridSpec(dim=3, n_axis=16)
+    x = mesh(g)
+    phys = make_phys(
+        g,
+        v_tilde=vec_with(g, 0, sin_s(g)),
+        n_tilde=ScalarField(g, 1.0 + 0.2 * np.sin(x[2])),
+        tau_star=0.3,
+    )
+    u = ScalarField(g, 1.0 + 0.2 * np.sin(x[0]))
+    with pytest.raises(UnderResolved) as info:
+        solve_drift_momentum(u, phys)
+    q, _ = q_correction(u, phys.v_tilde, phys.n_tilde, phys.pi, phys.psi,
+                        torus_basis(g), half_drift=False)
+    source = momentum_rhs(u, VectorField(g, phys.v_tilde.values + q.values),
+                          phys.n_tilde, phys.pi, phys.psi, half_drift=False)
+    assert info.value.content == pytest.approx(5.5e-3, rel=0.02)
+    assert info.value.limit == pytest.approx(
+        _UNRESOLVED_LIMIT * max(1.0, sup_norm(source)), rel=1e-12)

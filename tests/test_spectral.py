@@ -136,7 +136,7 @@ def test_vector_kernels_match_full_spectrum(case):
         cut = np.where(mask, hat, 0.0)
         ref_proj[j] = np.fft.ifftn(hat - cut).real
         ref_removed = max(ref_removed, np.abs(np.fft.ifftn(cut).real).max())
-    proj, removed = _project_solvable(grid, w, measure=True)
+    proj, removed = _project_solvable(grid, w)
     _close(proj, ref_proj)
     assert removed == pytest.approx(ref_removed, rel=1e-12)
 
