@@ -26,6 +26,15 @@ epsilon0 <= u <= psi of the monotone construction, and it lies at or above
 the sweeps' limit, the smallest solution above the last sweep iterate.
 ``find_supersolution`` runs the same Newton iteration to find a
 nonconstant barrier.
+
+Every Newton step, in a sweep and in the polish alike, solves its linear
+system only as accurately as the step needs: to a residual of at most
+``1e-4`` of the Newton residual's sup-norm (the fixed forcing term of
+inexact Newton methods), and no tighter than ``solve_scalar_linear``'s
+default relative ``1e-12``.  The acceptance checks do not depend on it: each
+sweep's residual target, the polish's stop rule and order interval,
+``find_supersolution``'s ``1e-10`` target, the Newton step caps and
+``solve_scalar_linear``'s cycle cap are those of exact linear solves.
 """
 
 from __future__ import annotations
@@ -97,13 +106,27 @@ def scalar_residual(u, coeffs):
     return ScalarField(u.grid, _residual_values(u.grid, u.values, coeffs.a.values, coeffs))
 
 
-def _damped_newton(coeffs, uv, target, step_tol, max_steps, max_halvings, lin_tol):
+def _newton_tol(res_sup):
+    """``tol`` for the linear solve of a Newton step whose residual has
+    sup-norm ``res_sup``.
+
+    ``solve_scalar_linear`` scales ``tol`` by ``max(1, res_sup)``, so
+    ``1e-4 min(1, res_sup)`` lets the linear residual reach ``1e-4 res_sup``
+    in sup-norm: the fixed forcing term of inexact Newton (Eisenstat and
+    Walker, SIAM J. Sci. Comput. 17, 1996).  The floor is
+    ``solve_scalar_linear``'s default relative ``1e-12``.
+    """
+    return max(1e-12, 1e-4 * min(1.0, res_sup))
+
+
+def _damped_newton(coeffs, uv, target, step_tol, max_steps, max_halvings):
     """Damped Newton on the full residual from the positive grid array ``uv``.
 
-    Each step solves ``linearize(u) delta = -residual`` and halves ``delta``
-    until the trial field is positive with a finite residual of smaller
-    sup-norm.  Stops before a step once the residual sup-norm is at most
-    ``target`` and the last correction's sup-norm is below ``step_tol``
+    Each step solves ``linearize(u) delta = -residual`` to the forcing
+    target of ``_newton_tol`` and halves ``delta`` until the trial field is
+    positive with a finite residual of smaller sup-norm.  The stop rule is
+    that of exact solves: before a step once the residual sup-norm is at
+    most ``target`` and the last correction's sup-norm is below ``step_tol``
     (so it takes at least one step); also when a linear solve raises a
     ``SolverError``, when ``max_halvings`` halvings do not lower the
     residual, or after ``max_steps`` steps.
@@ -125,8 +148,8 @@ def _damped_newton(coeffs, uv, target, step_tol, max_steps, max_halvings, lin_to
             return uv, res_sup, step, n
         op = linearize(ScalarField(g, uv), coeffs)
         try:
-            delta = solve_scalar_linear(g, op.zeroth, op.first,
-                                        ScalarField(g, -res), tol=lin_tol).values
+            delta = solve_scalar_linear(g, op.zeroth, op.first, ScalarField(g, -res),
+                                        tol=_newton_tol(res_sup)).values
         except SolverError:
             return uv, res_sup, step, n
         step = float(np.abs(delta).max())
@@ -235,8 +258,10 @@ def solve_gen_eq(data, u_init):
     With ``Z == 0`` the problem is linear and handled in one solve.
     Otherwise Newton linearizes the gradient terms into a drift
     ``(2 th1 s + th2) Z`` and backtracks on the sup-norm of the residual.
-    The residual target is ``1e-11 max(1, sup|th3|)``; Newton gets at most
-    50 steps.
+    Each Newton linear solve stops at the forcing target of ``_newton_tol``
+    (``1e-4`` of the residual's sup-norm); the residual target of the sweep
+    problem is ``1e-11 max(1, sup|th3|)`` whatever the forcing.  Newton
+    gets at most 50 steps.
 
     Raises
     ------
@@ -259,8 +284,8 @@ def solve_gen_eq(data, u_init):
             return ScalarField(g, uv)
         drift = VectorField(
             g, (2.0 * data.th1.values * s + data.th2.values) * data.Z.values)
-        delta = solve_scalar_linear(g, data.H, drift,
-                                    ScalarField(g, -res), tol=1e-12).values
+        delta = solve_scalar_linear(g, data.H, drift, ScalarField(g, -res),
+                                    tol=_newton_tol(res_sup)).values
         lam, improved = 1.0, False
         for _ in range(_MAX_HALVINGS):
             trial = uv + lam * delta
@@ -312,7 +337,7 @@ def _polish(coeffs, u_k, psi_v, step_tol, tol_outer, trace):
     interval ``[u_k, psi]`` up to roundoff, else None."""
     uv, res_sup, step, trace.newton_steps = _damped_newton(
         coeffs, u_k, target=tol_outer, step_tol=step_tol, max_steps=_MAX_POLISH,
-        max_halvings=_MAX_HALVINGS, lin_tol=1e-12)
+        max_halvings=_MAX_HALVINGS)
     slack = 1e-12 * max(1.0, float(psi_v.max()))
     if not (np.all(np.isfinite(uv)) and uv.min() > 0
             and res_sup <= tol_outer and step < step_tol
@@ -456,7 +481,7 @@ def find_supersolution(h, f, a_tilde):
                                Y=VectorField(g, np.zeros((g.dim,) + g.shape)))
     uv, res_sup, _, _ = _damped_newton(
         reduced, np.full(g.shape, best_t), target=1e-10, step_tol=np.inf,
-        max_steps=60, max_halvings=15, lin_tol=1e-11)
+        max_steps=60, max_halvings=15)
     if res_sup <= 1e-10:
         return ScalarField(g, uv)
     raise NoSupersolutionFound(best_defect=best_margin, best_value=best_t)

@@ -9,6 +9,7 @@ from driftsolve.grid import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _scalar_op_values,
     c2_surrogate,
     conformal_killing,
     divergence,
@@ -246,6 +247,24 @@ def test_linear_solve_with_drift():
     rhs = ScalarField(g, laplacian(u_star).values + h.values * u_star.values + adv)
     u = solve_scalar_linear(g, h, b, rhs)
     assert np.abs(u.values - u_star.values).max() <= 1e-9
+
+
+def test_linear_solve_stops_at_the_requested_tol(op_applies):
+    # GMRES aims at the requested tol: a loose tol meets its residual test
+    # in fewer operator applies than a tight one
+    g = GridSpec(dim=3, n_axis=16)
+    h = sin_s(g, axis=0, amp=0.5, offset=2.0)
+    drift = VectorField(g, np.stack([0.3 * cos_s(g, axis=1).values,
+                                     np.full(g.shape, 0.2), np.zeros(g.shape)]))
+    rhs = cos_s(g, axis=2)
+    work = {}
+    for tol in (1e-6, 1e-12):
+        op_applies[0] = 0
+        u = solve_scalar_linear(g, h, drift, rhs, tol=tol)
+        work[tol] = op_applies[0]
+        resid = _scalar_op_values(g, h.values, drift.values, u.values) - rhs.values
+        assert np.abs(resid).max() <= tol * max(1.0, np.abs(rhs.values).max())
+    assert work[1e-6] < work[1e-12]
 
 
 def test_linear_solve_singular_operator():

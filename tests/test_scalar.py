@@ -417,6 +417,18 @@ def test_polish_solver_error_resumes_sweeps(monkeypatch, pure_sweeps):
     assert np.array_equal(u.values, u_ref.values)
 
 
+def test_polish_apply_budget(op_applies):
+    # Newton linear solves stop at the forcing target 1e-4 sup|residual|:
+    # the 16^3 drift problem costs 124 applies (205 with every linear solve
+    # at 1e-12), with the same answer
+    g = GridSpec(dim=3, n_axis=16)
+    coeffs, u_star = drift_problem(g)
+    u, trace = monotone_iterate(coeffs, u_star)
+    assert np.abs(u.values - u_star.values).max() <= 1e-12
+    assert trace.polished and trace.iterate_count == 5
+    assert op_applies[0] <= 150
+
+
 def test_monotone_two_sweep_budget_raises():
     # a budget below the polish point ends in NonConvergence, as before
     g = GridSpec(dim=3, n_axis=8)
@@ -500,6 +512,18 @@ def test_find_supersolution_newton_fallback():
         - f.values * psi.values**5 - at.values * psi.values**-7
     )
     assert defect.min() >= -1e-8
+
+
+def test_find_supersolution_refuses_infeasible_level_cheaply(op_applies):
+    # criterion 09's nominal level has no barrier: stage two's Newton search
+    # must give up within a bounded number of operator applies (89 with the
+    # forcing target, 1731 with every linear solve at 1e-11)
+    g = GridSpec(dim=3, n_axis=32)
+    at = ScalarField(g, 0.5 * sin_s(g, amp=0.1, offset=1.0).values + 0.2)
+    with pytest.raises(NoSupersolutionFound) as info:
+        find_supersolution(const_s(g, 1.0), const_s(g, 0.5), at)
+    assert info.value.best_defect == pytest.approx(-8.941345e-2, rel=1e-6)
+    assert op_applies[0] <= 200
 
 
 def test_find_supersolution_propagates_programming_errors(monkeypatch):
