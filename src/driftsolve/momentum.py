@@ -196,18 +196,21 @@ def momentum_rhs(u, v_tilde, n_tilde, pi, psi, half_drift=True):
     return VectorField(g, out)
 
 
-def q_correction(u, v_tilde, n_tilde, pi, psi, basis, half_drift=True):
-    """Shift the drift by a kernel-space field to kill the mean obstruction.
+def q_correction(u, v_tilde, n_tilde):
+    """Constant drift shift that minimizes the weighted drift divergence.
 
-    Minimizes the weighted square of ``div(u^q (v_tilde + Q))`` over
-    ``Q = sum_l c_l basis_l`` (weight ``n_tilde u^(-2q)``) via the normal
-    equations with a pseudoinverse, then reports the componentwise mean of
-    the resulting vector source.
+    Minimizes the mean of ``n_tilde u^(-2q) div(u^q (v_tilde + Q))^2`` over
+    constant vector fields ``Q``, the kernel of the trace-free symmetrized
+    derivative on the flat torus.  For constant ``Q``,
+    ``div(u^q Q) = <grad u^q, Q>``, so ``Q`` solves the ``dim x dim``
+    normal equations of the components of ``grad u^q``, by pseudoinverse.
+    The mean defect that remains in the vector source is reported by the
+    solve as ``KernelReport.defect``.
 
     Returns
     -------
-    (VectorField, ndarray)
-        The correction ``Q`` and the per-component mean defect that remains.
+    VectorField
+        The constant shift ``Q``.
     """
     if u.values.min() <= 0:
         raise NonPositiveField(f"conformal factor must be > 0, min {u.values.min()}")
@@ -217,32 +220,12 @@ def q_correction(u, v_tilde, n_tilde, pi, psi, basis, half_drift=True):
     uq = u.values**g.q
     weight = n_tilde.values * u.values ** (-2.0 * g.q)
     d0 = divergence(VectorField(g, uq * v_tilde.values)).values
-    cols = [divergence(VectorField(g, uq * p.values)).values for p in basis]
-    n_basis = len(basis)
-    normal = np.empty((n_basis, n_basis))
-    rhs = np.empty(n_basis)
-    for a in range(n_basis):
+    cols = gradient(ScalarField(g, uq)).values
+    normal = np.empty((g.dim, g.dim))
+    rhs = np.empty(g.dim)
+    for a in range(g.dim):
         rhs[a] = float(np.mean(weight * d0 * cols[a]))
-        for b in range(a, n_basis):
+        for b in range(a, g.dim):
             normal[a, b] = normal[b, a] = float(np.mean(weight * cols[a] * cols[b]))
     coef = -np.linalg.pinv(normal, rcond=1e-12) @ rhs
-
-    q_vals = np.zeros((g.dim,) + g.shape)
-    for c, p in zip(coef, basis):
-        q_vals += c * p.values
-    q_field = VectorField(g, q_vals)
-    corrected = VectorField(g, v_tilde.values + q_vals)
-    source = momentum_rhs(u, corrected, n_tilde, pi, psi, half_drift=half_drift)
-    defect = source.values.mean(axis=tuple(range(1, 1 + g.dim)))
-    return q_field, defect
-
-
-def torus_basis(grid):
-    """Constant vector fields: the kernel of the trace-free symmetrized
-    derivative on a flat torus."""
-    out = []
-    for j in range(grid.dim):
-        vals = np.zeros((grid.dim,) + grid.shape)
-        vals[j] = 1.0
-        out.append(VectorField(grid, vals))
-    return out
+    return VectorField(g, np.multiply.outer(coef, np.ones(g.shape)))

@@ -32,7 +32,7 @@ from .grid import (
     sup_norm,
     tensor_divergence,
 )
-from .momentum import MomentumProblem, momentum_rhs, q_correction, solve_lame, torus_basis
+from .momentum import MomentumProblem, momentum_rhs, q_correction, solve_lame
 from .stability import coercivity_eigenvalue
 
 
@@ -332,9 +332,10 @@ def constraint_residuals(data, phys):
 def solve_drift_momentum(u, phys):
     """Solve the vector equation of the reconstruction pipeline.
 
-    Shifts the drift by a constant kernel field so the source has no mean
-    obstruction, builds the full-weight vector source, and solves with the
-    half-lapse-density weight.
+    Shifts the drift by the constant kernel field of ``q_correction``,
+    builds the full-weight vector source once, and solves with the
+    half-lapse-density weight.  The mean defect that the shift leaves in
+    the source is ``KernelReport.defect``.
 
     Returns
     -------
@@ -343,8 +344,7 @@ def solve_drift_momentum(u, phys):
         used (drift replaced by its corrected version).
     """
     g = u.grid
-    correction, _ = q_correction(u, phys.v_tilde, phys.n_tilde, phys.pi,
-                                 phys.psi, torus_basis(g), half_drift=False)
+    correction = q_correction(u, phys.v_tilde, phys.n_tilde)
     used = dataclasses.replace(
         phys, v_tilde=VectorField(g, phys.v_tilde.values + correction.values))
     source = momentum_rhs(u, used.v_tilde, used.n_tilde, used.pi, used.psi,

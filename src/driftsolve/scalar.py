@@ -9,8 +9,10 @@ The equation, in residual form with the positive Laplacian, is
 with q the critical exponent of the grid dimension.  ``a`` and ``f`` must be
 strictly positive; ``b``, ``c``, ``d``, ``h`` may have either sign.  An upper
 barrier ("supersolution") is a positive field with residual >= 0; a constant
-lower barrier epsilon0 comes from a closed-form recipe.  The outer iteration
-sweeps upward from epsilon0: each sweep freezes the zeroth-order
+one is found, if it exists, by one bounded 1-d search, because the worst-case
+margin of a constant level is strictly concave in the level when ``a, f > 0``.
+A constant lower barrier epsilon0 comes from a closed-form recipe.  The outer
+iteration sweeps upward from epsilon0: each sweep freezes the zeroth-order
 nonlinearities at the previous iterate, shifts both sides by K u with K large
 enough to make the sweep order-preserving, and solves the resulting
 gradient-quadratic problem.  Iterates then increase monotonically and stay
@@ -443,8 +445,11 @@ def _constant_margin(h, f, at, t):
 def find_supersolution(h, f, a_tilde):
     """Search for an upper barrier of the reduced equation (b = c = 0, Y = 0).
 
-    Stage one scans constant levels on a wide geometric grid and polishes
-    the best one by bounded 1-d maximization of the worst-case margin.
+    Stage one maximizes the worst-case margin of constant levels by one
+    bounded 1-d search over ``[1e-3 t_mid, 1e3 t_mid]``; that margin is
+    strictly concave in the level ``t``, since each of its terms
+    ``h t - f t^(q-1) - a t^(-q-1)`` has second derivative
+    ``-(q-1)(q-2) f t^(q-3) - (q+1)(q+2) a t^(-q-3) < 0`` for ``f, a > 0``.
     If no constant works, stage two runs damped Newton for an exact
     nonconstant solution of the reduced equation starting from the best
     constant.  Raises NoSupersolutionFound with the best constant and its
@@ -461,16 +466,10 @@ def find_supersolution(h, f, a_tilde):
 
     # balance point of the two negative terms sets the natural scale
     t_mid = (max(np.abs(h.values).max(), 1.0) / f.values.min()) ** (1.0 / (q - 2.0))
-    t_grid = np.geomspace(1e-3 * t_mid, 1e3 * t_mid, 1024)
-    margins = [_constant_margin(h, f, a_tilde, t) for t in t_grid]
-    i_best = int(np.argmax(margins))
-    lo = t_grid[max(i_best - 1, 0)]
-    hi = t_grid[min(i_best + 1, len(t_grid) - 1)]
     opt = minimize_scalar(lambda t: -_constant_margin(h, f, a_tilde, t),
-                          bounds=(lo, hi), method="bounded",
+                          bounds=(1e-3 * t_mid, 1e3 * t_mid), method="bounded",
                           options={"xatol": 1e-13})
-    best_t = float(opt.x)
-    best_margin = _constant_margin(h, f, a_tilde, best_t)
+    best_t, best_margin = float(opt.x), -float(opt.fun)
     if best_margin >= -1e-8:
         return ScalarField(g, np.full(g.shape, best_t))
 

@@ -81,38 +81,29 @@ def linearize(u, coeffs):
                               first=VectorField(g, first), k_lin=k_lin)
 
 
-def _starting_block(grid, m):
-    """Smooth deterministic starting subspace: constant plus single modes.
+def _start(grid):
+    """Start vector of the eigen iteration: the constant, flattened.
 
-    Starting from smooth fields matters: on an even grid the zeroed
+    Starting from a smooth field matters: on an even grid the zeroed
     highest-mode derivative symbols admit spurious low-lying modes carrying
-    unpaired-mode content, and a smooth block has exactly zero overlap with
+    unpaired-mode content, and the constant has exactly zero overlap with
     them, so the iteration converges to the physical ground state.
     """
-    unit = np.eye(grid.dim, dtype=int)
-    cols = [np.ones(grid.shape)]
-    ax = 0
-    while len(cols) < m:
-        phase = grid.phase(unit[ax])
-        cols.append(np.cos(phase))
-        if len(cols) < m:
-            cols.append(np.sin(phase))
-        ax = (ax + 1) % grid.dim
-    return np.column_stack([c.ravel() for c in cols])
+    return np.ones(grid.shape).ravel()
 
 
 def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
     """Ground eigenpair of the linearized operator.
 
     Preconditioned Davidson iteration on one Ritz pair.  An orthonormal
-    basis and its image under the operator grow from the constant column of
-    the smooth ``_starting_block``; every iteration projects the operator
-    onto the basis and walks the Ritz pairs upward to the lowest acceptable
-    one.  Two kinds of Ritz pairs are rejected: complex pairs, and pairs
-    whose vector carries more than 1% unpaired-highest-mode content -- the
-    zeroed derivative symbols make such modes artificially cheap, so they
-    can sit below the physical ground state without being eigenfunctions of
-    the resolved problem.  The kept pair is tested with a fresh apply; then
+    basis and its image under the operator grow from the constant vector of
+    ``_start``; every iteration projects the operator onto the basis and
+    walks the Ritz pairs upward to the lowest acceptable one.  Two kinds of
+    Ritz pairs are rejected: complex pairs, and pairs whose vector carries
+    more than 1% unpaired-highest-mode content -- the zeroed derivative
+    symbols make such modes artificially cheap, so they can sit below the
+    physical ground state without being eigenfunctions of the resolved
+    problem.  The kept pair is tested with a fresh apply; then
     the basis grows by its residual, preconditioned by division by the
     Fourier symbol ``|k|^2 + mean(zeroth) + k_lin`` (at least 1, so no
     linear solve is needed) and orthogonalized by classical Gram-Schmidt
@@ -161,7 +152,7 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
         image[m] = apply(basis[m])
         return m + 1
 
-    m = grow(0, _starting_block(g, 1)[:, 0])
+    m = grow(0, _start(g))
     resid = np.inf
     for _ in range(max_iter):
         ritz_vals, ritz_vecs = np.linalg.eig(basis[:m] @ image[:m].T)

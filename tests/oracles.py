@@ -172,6 +172,36 @@ def dense_newton_quadratic_gradient(dim, n_axis, big_h, th1, th2, th3, z_vec,
     return u
 
 
+def constant_margin_max(h, f, a, q, lo, hi, n_scan=4001):
+    """Largest worst-case margin ``min_x (h t - f t^(q-1) - a t^(-q-1))`` of a
+    constant level ``t`` in ``[lo, hi]``, by a log-spaced scan of
+    ``n_scan`` levels refined by golden section on ``log t`` between the
+    neighbours of the best one.
+
+    Returns
+    -------
+    (float, float)
+        The level and its margin.
+    """
+    def margin(log_t):
+        t = np.exp(log_t)
+        return float(np.min(h * t - f * t ** (q - 1.0) - a * t ** (-q - 1.0)))
+
+    grid = np.linspace(np.log(lo), np.log(hi), n_scan)
+    i = int(np.argmax([margin(s) for s in grid]))
+    left, right = grid[max(i - 1, 0)], grid[min(i + 1, n_scan - 1)]
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    while right - left > 1e-12:
+        s1 = right - ratio * (right - left)
+        s2 = left + ratio * (right - left)
+        if margin(s1) < margin(s2):
+            left = s1
+        else:
+            right = s2
+    s = 0.5 * (left + right)
+    return float(np.exp(s)), margin(s)
+
+
 def dense_least_squares(mat, rhs):
     sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     return sol

@@ -26,7 +26,6 @@ from driftsolve.verify import manufacture_momentum
 import oracles
 from util import (
     const_s,
-    const_v,
     cos_s,
     mesh,
     random_band_limited,
@@ -266,28 +265,26 @@ def test_momentum_rhs_requires_positive_fields():
 # --------------------------------------------------------- kernel correction
 
 
-def torus_basis(grid):
-    basis = []
-    for j in range(grid.dim):
-        comps = [0.0] * grid.dim
-        comps[j] = 1.0
-        basis.append(const_v(grid, comps))
-    return basis
+def corrected_defect(u, v_tilde, n_tilde, pi, psi):
+    """Mean of the full-weight source after the drift shift of q_correction."""
+    q = q_correction(u, v_tilde, n_tilde)
+    source = momentum_rhs(u, VectorField(u.grid, v_tilde.values + q.values), n_tilde,
+                          pi, psi, half_drift=False)
+    return q, source.values.mean(axis=tuple(range(1, 1 + u.grid.dim)))
 
 
 def test_q_correction_trivial_at_constant_u():
     g = GridSpec(dim=3, n_axis=16)
-    q, defect = q_correction(const_s(g, 1.0), vec_with(g, 0, sin_s(g, axis=0)),
-                             const_s(g, 1.0), const_s(g, 0.0), const_s(g, 0.0),
-                             torus_basis(g))
+    q, defect = corrected_defect(const_s(g, 1.0), vec_with(g, 0, sin_s(g, axis=0)),
+                                 const_s(g, 1.0), const_s(g, 0.0), const_s(g, 0.0))
     assert sup_norm(q) == 0.0
     assert np.abs(defect).max() <= 1e-14
 
 
 def test_q_correction_gradient_source_has_zero_defect():
     g = GridSpec(dim=3, n_axis=16)
-    _, defect = q_correction(const_s(g, 1.0), zero_v(g), const_s(g, 1.0),
-                             const_s(g, 1.0), sin_s(g, axis=0), torus_basis(g))
+    _, defect = corrected_defect(const_s(g, 1.0), zero_v(g), const_s(g, 1.0),
+                                 const_s(g, 1.0), sin_s(g, axis=0))
     assert np.abs(defect).max() <= 1e-14
 
 
@@ -296,8 +293,7 @@ def test_q_correction_nonconstant_u_kills_drift_mean():
     u = sin_s(g, axis=0, amp=0.2, offset=1.0)
     nt = sin_s(g, axis=2, amp=0.2, offset=1.0)
     vt = vec_with(g, 0, sin_s(g, axis=0))
-    q, defect = q_correction(u, vt, nt, const_s(g, 0.0), const_s(g, 0.0),
-                             torus_basis(g), half_drift=False)
+    q, defect = corrected_defect(u, vt, nt, const_s(g, 0.0), const_s(g, 0.0))
     # u varies along x1 only, so the normal equations are rank one
     assert q.values[0].flat[0] == pytest.approx(-0.71547607, abs=1e-6)
     assert np.abs(q.values[1:]).max() == 0.0
@@ -305,23 +301,23 @@ def test_q_correction_nonconstant_u_kills_drift_mean():
 
 
 def test_q_correction_matches_dense_least_squares():
-    # non-torus harness: basis with nonzero divergence exercises the
-    # normal equations against an independent dense solve
+    # u varies along x0 and x1, so the normal matrix has rank 2 and the
+    # pseudoinverse must pick the minimum-norm shift, as lstsq does
     g = GridSpec(dim=3, n_axis=16)
-    u = sin_s(g, axis=0, amp=0.2, offset=1.0)
-    nt = const_s(g, 1.0)
-    vt = vec_with(g, 0, sin_s(g, axis=1))
-    basis = [vec_with(g, 0, cos_s(g, axis=0)), vec_with(g, 1, sin_s(g, axis=1))]
-    q, _ = q_correction(u, vt, nt, const_s(g, 0.0), const_s(g, 0.0), basis)
-    # dense route: minimize || sqrt(w) (D0 + sum_l c_l D_l) ||_2
+    x = mesh(g)
+    u = ScalarField(g, 1.0 + 0.2 * np.sin(x[0]) + 0.1 * np.sin(x[1]))
+    nt = sin_s(g, axis=2, amp=0.2, offset=1.0)
+    vt = VectorField(g, np.array([np.sin(x[0]), np.sin(x[1]), np.sin(x[2])]))
+    q = q_correction(u, vt, nt)
+    # dense route: minimize || sqrt(w) (D0 + sum_l c_l d_l(u^q)) ||_2 with
+    # the reference spectral derivatives
+    _, k, _ = oracles.axes(g.dim, g.n_axis)
     uq = u.values**g.q
     w = nt.values * u.values ** (-2 * g.q)
-    d0 = divergence(VectorField(g, uq * vt.values)).values
-    cols = []
-    for p in basis:
-        cols.append((np.sqrt(w) * divergence(VectorField(g, uq * p.values)).values).ravel())
-    mat = np.array(cols).T
+    d0 = sum(oracles.ref_grad(uq * vt.values[j], k)[j] for j in range(g.dim))
+    mat = np.array([(np.sqrt(w) * col).ravel() for col in oracles.ref_grad(uq, k)]).T
     rhs = -(np.sqrt(w) * d0).ravel()
     ref = oracles.dense_least_squares(mat, rhs)
-    q_ref = ref[0] * basis[0].values + ref[1] * basis[1].values
-    assert np.abs(q.values - q_ref).max() <= 1e-8
+    assert abs(ref[0]) > 1e-3 and abs(ref[1]) > 1e-3 and abs(ref[2]) <= 1e-12
+    for j in range(g.dim):
+        assert np.abs(q.values[j] - ref[j]).max() <= 1e-8

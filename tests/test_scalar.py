@@ -26,7 +26,7 @@ from driftsolve.scalar import (
 )
 
 import oracles
-from util import const_s, const_v, mesh, sin_s, vec_with, zero_v
+from util import const_s, const_v, mesh, random_band_limited, sin_s, vec_with, zero_v
 
 
 def constant_coeffs(grid, a=0.5, f=0.5, h=1.0, b=0.0, c=0.0, d=0.0):
@@ -471,6 +471,47 @@ def test_find_supersolution_constant_scan():
     t = float(psi.values.flat[0])
     defect = t - 0.5 * t**5 - 0.5 * t**-7
     assert defect >= -1e-8
+
+
+@pytest.mark.parametrize("n_axis, f_level, a_level", [
+    (8, 0.5, 0.58),  # criterion 03, below the threshold 16/27
+    (8, 0.5, 0.61),  # criterion 03, above it
+    (16, 0.5, None),  # a coupled-abstract-like level, 0.25 + 0.005 band-limited
+    (16, 1.0, 1e6),
+])
+def test_find_supersolution_one_bounded_search(monkeypatch, n_axis, f_level, a_level):
+    # the worst-case margin is concave in the level, so one bounded search
+    # finds its maximum over [1e-3 t_mid, 1e3 t_mid]
+    real = driftsolve.scalar._constant_margin
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(driftsolve.scalar, "_constant_margin", counted)
+    g = GridSpec(dim=3, n_axis=n_axis)
+    h, f = const_s(g, 1.0), const_s(g, f_level)
+    if a_level is None:
+        rng = np.random.default_rng(17)
+        at = ScalarField(g, 0.25 + 0.005 * random_band_limited(g, rng).values)
+    else:
+        at = const_s(g, a_level)
+    q = g.q
+    try:
+        psi = find_supersolution(h, f, at)
+    except NoSupersolutionFound as err:
+        got = err.best_defect
+    else:
+        assert psi.values.max() - psi.values.min() == 0.0
+        t = float(psi.values.flat[0])
+        got = float(np.min(h.values * t - f.values * t ** (q - 1.0)
+                           - at.values * t ** (-q - 1.0)))
+    assert calls[0] <= 60
+    t_mid = (1.0 / f_level) ** (1.0 / (q - 2.0))
+    _, ref = oracles.constant_margin_max(h.values, f.values, at.values, q,
+                                         1e-3 * t_mid, 1e3 * t_mid)
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_find_supersolution_exact_root():

@@ -10,7 +10,7 @@ from driftsolve.grid import (GridSpec, ScalarField, VectorField, _scalar_op_valu
 from driftsolve.scalar import LichCoefficients
 from driftsolve.stability import (
     LinearizedOperator,
-    _starting_block,
+    _start,
     _unpaired_fraction,
     coercivity_eigenvalue,
     linearize,
@@ -37,10 +37,9 @@ def constant_coeffs(grid, a=0.5, f=0.5, h=1.0, b=0.0, c=0.0, d=0.0):
     )
 
 
-def test_starting_block_has_no_unpaired_content():
+def test_start_has_no_unpaired_content():
     g = GridSpec(dim=3, n_axis=16, length=1.0)
-    for col in _starting_block(g, 6).T:
-        assert _unpaired_fraction(g, col.reshape(g.shape)) <= 1e-15
+    assert _unpaired_fraction(g, _start(g).reshape(g.shape)) <= 1e-15
 
 
 # ------------------------------------------------------------- linearization
@@ -166,14 +165,12 @@ def test_smallest_eigenvalue_from_start_seeded_with_unpaired_content(monkeypatch
     op, dense = drift_oracle_operator()
     g = op.zeroth.grid
     twin = (-1.0) ** np.indices(g.shape)[axis]
-    unseeded = stability._starting_block
+    unseeded = stability._start
 
-    def seeded(grid, m):
-        block = unseeded(grid, m)
-        block[:, 0] += eps * twin.ravel()
-        return block
+    def seeded(grid):
+        return unseeded(grid) + eps * twin.ravel()
 
-    monkeypatch.setattr(stability, "_starting_block", seeded)
+    monkeypatch.setattr(stability, "_start", seeded)
     lam, phi = smallest_eigenvalue(op)
     ref, _ = oracles.dense_ground_pair(dense)
     assert lam == pytest.approx(ref, abs=1e-12)
