@@ -35,8 +35,8 @@ from .physical import (
     reconstruct_data,
     solve_drift_momentum,
 )
-from .scalar import LichCoefficients, find_supersolution, monotone_iterate
-from .stability import coercivity_eigenvalue, linearize, smallest_eigenvalue
+from .scalar import LichCoefficients, find_supersolution, linearize, monotone_iterate
+from .stability import coercivity_eigenvalue, smallest_eigenvalue
 
 __all__ = [
     "LichCoefficients",

@@ -52,8 +52,9 @@ from .physical import (
     reconstruct_data,
     solve_drift_momentum,
 )
-from .scalar import LichCoefficients, find_supersolution, monotone_iterate, scalar_residual
-from .stability import linearize, smallest_eigenvalue
+from .scalar import (LichCoefficients, find_supersolution, linearize, monotone_iterate,
+                     scalar_residual)
+from .stability import smallest_eigenvalue
 from .verify import check_model_profile
 
 MODES = ("solve-scalar", "solve-momentum", "solve-coupled",
@@ -155,17 +156,6 @@ def _write_report(out_dir, report):
         fh.write("\n")
 
 
-def _kernel_dict(kernel):
-    return {
-        "defect": [float(v) for v in kernel.defect],
-        "projected": bool(kernel.projected),
-        "unresolved": float(kernel.unresolved),
-        "iterations": int(kernel.iterations),
-        "residual": float(kernel.residual),
-        "ratios": [float(r) for r in kernel.ratios],
-    }
-
-
 # -------------------------------------------------------------------- modes
 
 
@@ -214,7 +204,7 @@ def _run_solve_momentum(cfg, grid, report, out_dir, dump):
     w, kernel = solve_lame(prob, tol=tol)
     report["momentum"] = {
         "w_sup": float(sup_norm(w)),
-        "kernel": _kernel_dict(kernel),
+        "kernel": _native(dataclasses.asdict(kernel)),
     }
     if dump:
         write_field(out_dir / "w.dcf", w)
@@ -295,7 +285,7 @@ def _run_map_physical(cfg, grid, report, out_dir, dump):
         "codazzi_sup": float(sup_norm(cod)),
         "tau_min": float(data.tau.values.min()),
         "tau_max": float(data.tau.values.max()),
-        "kernel": _kernel_dict(kernel),
+        "kernel": _native(dataclasses.asdict(kernel)),
     }
     if dump:
         write_field(out_dir / "u.dcf", u)

@@ -40,10 +40,11 @@ from .scalar import (
     LichCoefficients,
     _residual_values,
     find_supersolution,
+    linearize,
     monotone_iterate,
     pick_epsilon0,
 )
-from .stability import coercivity_eigenvalue, linearize, smallest_eigenvalue
+from .stability import coercivity_eigenvalue, smallest_eigenvalue
 
 
 @dataclass

@@ -32,8 +32,8 @@ triangle.  The vector operator ``div(rho3 cdev W)`` thus costs
 
 Solver loops work on arrays: ``_scalar_op_values`` is the one kernel of
 ``lap u + h u + <grad u, drift>`` (linear solve, eigen iteration and its
-certificate), and ``_lap_grad_values`` gives an array's Laplacian and
-gradient from one forward transform.
+certificate), and ``_lap_grad_values``/``_grad_values`` give an array's
+Laplacian and gradient, or its gradient alone, from one forward transform.
 """
 
 from __future__ import annotations
@@ -198,8 +198,12 @@ def _grad_of_hat(grid, hat):
     return out
 
 
+def _grad_values(grid, values):
+    return _grad_of_hat(grid, _rfft(values))
+
+
 def gradient(u):
-    return VectorField(u.grid, _grad_of_hat(u.grid, _rfft(u.values)))
+    return VectorField(u.grid, _grad_values(u.grid, u.values))
 
 
 def _div_hat(grid, hats):
@@ -334,10 +338,6 @@ def _project_solvable(grid, comps):
 
 
 # --------------------------------------------------------------------- norms
-
-
-def mean(u):
-    return float(np.mean(u.values))
 
 
 def sup_norm(field):

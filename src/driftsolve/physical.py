@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupled import RhsInputs, SystemCoefficients
+from .coupled import RhsInputs, SystemCoefficients, effective_a
 from .grid import (
     ScalarField,
     SymTensorField,
@@ -33,6 +33,7 @@ from .grid import (
     tensor_divergence,
 )
 from .momentum import MomentumProblem, momentum_rhs, q_correction, solve_lame
+from .scalar import _monomial, _terms
 from .stability import coercivity_eigenvalue
 
 
@@ -238,23 +239,10 @@ def direct_constraint_terms(u, w, phys):
 
 def mapped_constraint_terms(u, w, sys):
     """The same slots evaluated from the mapped abstract coefficients."""
-    from .coupled import effective_a
-
-    g = u.grid
-    q = g.q
-    uv = u.values
     s = np.sum(gradient(u).values * sys.Y.values, axis=0)
-    a = effective_a(sys, w).values
-    return {
-        "laplacian": laplacian(u).values,
-        "zeroth_h": sys.h.values * uv,
-        "potential_f": -sys.f.values * uv ** (q - 1.0),
-        "inverse_a": -a * uv ** (-q - 1.0),
-        "linear_b": sys.b.values / uv,
-        "gradient_square": s**2 * uv ** (-q - 3.0),
-        "tau_gradient": sys.c.values * s * sys.d.values * uv**-2.0,
-        "drift_gradient": sys.c.values * s * uv ** (-q - 2.0),
-    }
+    terms = _terms(u.grid.q, effective_a(sys, w).values, sys)
+    return {"laplacian": laplacian(u).values,
+            **{slot: _monomial(coef, u.values, p, s, m) for slot, coef, p, m in terms}}
 
 
 # ------------------------------------------------------------ reconstruction

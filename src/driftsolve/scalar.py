@@ -19,10 +19,11 @@ gradient-quadratic problem.  Iterates then increase monotonically and stay
 below the barrier.
 
 The sweep map contracts only linearly, so after a few sweeps a damped
-Newton iteration on the full residual (Jacobian ``stability.linearize``)
-finishes the solve.  Its answer is kept only if it is finite, positive,
-meets the sweeps' own stop rule, and lies in the order interval between the
-last sweep iterate and the barrier; otherwise the sweeps go on from where
+Newton iteration on the full residual (Jacobian ``linearize``, taken term
+by term from the residual's table) finishes the solve.  Its answer is kept
+only if it is finite, positive, meets the sweeps' own stop rule, and lies
+in the order interval between the last sweep iterate and the barrier;
+otherwise the sweeps go on from where
 they stopped.  An accepted answer therefore keeps the barrier bounds
 epsilon0 <= u <= psi of the monotone construction, and it lies at or above
 the sweeps' limit, the smallest solution above the last sweep iterate.
@@ -53,8 +54,8 @@ from .errors import (
     NotASupersolution,
     SolverError,
 )
-from .grid import ScalarField, VectorField, _lap_grad_values, _lap_values, solve_scalar_linear
-from .stability import linearize
+from .grid import (ScalarField, VectorField, _grad_values, _lap_grad_values, _lap_values,
+                   solve_scalar_linear)
 
 _MAX_NEWTON = 50  # Newton steps allowed to one frozen sweep problem
 _MAX_HALVINGS = 12  # step halvings in one Newton line search
@@ -84,28 +85,84 @@ class LichCoefficients:
             raise NonPositiveField(f"coefficient f must be > 0, min {self.f.values.min()}")
 
 
+def _terms(q, a, k):
+    """The residual's lower-order terms ``coef u^p s^m``, ``s = <grad u, Y>``,
+    as (slot, coef, p, m) for the critical exponent ``q``, the array ``a``
+    and the carrier ``k`` of ``b c d f h Y``: the one table of the equation."""
+    return [("zeroth_h", k.h.values, 1.0, 0),
+            ("potential_f", -k.f.values, q - 1.0, 0),
+            ("inverse_a", -a, -q - 1.0, 0),
+            ("linear_b", k.b.values, -1.0, 0),
+            ("gradient_square", 1.0, -q - 3.0, 2),
+            ("tau_gradient", k.c.values * k.d.values, -2.0, 1),
+            ("drift_gradient", k.c.values, -q - 2.0, 1)]
+
+
+def _monomial(coef, uv, p, s=0.0, m=0):
+    """``coef u^p s^m`` on grid arrays, as a new array."""
+    out = uv**p
+    out *= coef
+    if m:
+        out *= s**m
+    return out
+
+
 def _residual_values(grid, uv, a, coeffs):
     """Equation residual at the positive grid array ``uv`` for the array ``a``
     (of either sign) and ``b c d f h Y`` from any object carrying them."""
     if uv.min() <= 0:
         raise NonPositiveField(f"residual needs u > 0, min {uv.min()}")
-    q = grid.q
     if np.any(coeffs.Y.values):
-        lap, grad = _lap_grad_values(grid, uv)
+        out, grad = _lap_grad_values(grid, uv)
         s = np.sum(grad * coeffs.Y.values, axis=0)
     else:  # no gradient terms: the Laplacian alone, as in linearize
-        lap, s = _lap_values(grid, uv), 0.0
-    return (lap + coeffs.h.values * uv
-            - coeffs.f.values * uv ** (q - 1.0)
-            - a * uv ** (-q - 1.0)
-            + coeffs.b.values / uv
-            + s**2 * uv ** (-q - 3.0)
-            + coeffs.c.values * s * (coeffs.d.values * uv**-2 + uv ** (-q - 2.0)))
+        out, s = _lap_values(grid, uv), 0.0
+    for _, coef, p, m in _terms(grid.q, a, coeffs):
+        out += _monomial(coef, uv, p, s, m)
+    return out
 
 
 def scalar_residual(u, coeffs):
     """Evaluate the equation residual at a positive field ``u``."""
     return ScalarField(u.grid, _residual_values(u.grid, u.values, coeffs.a.values, coeffs))
+
+
+@dataclass
+class LinearizedOperator:
+    """Zeroth- and first-order coefficients plus a positivity shift.
+
+    ``k_lin`` is large enough that ``zeroth + k_lin`` is pointwise positive,
+    so the eigen preconditioner ``|k|^2 + mean(zeroth) + k_lin`` is at
+    least 1.
+    """
+
+    zeroth: ScalarField
+    first: VectorField
+    k_lin: float
+
+
+def linearize(u, coeffs):
+    """Differentiate the scalar residual at ``u`` term by term: a term
+    ``coef u^p s^m`` adds ``coef p u^(p-1) s^m`` to the zeroth-order
+    coefficient and ``coef m u^p s^(m-1) Y`` to the first-order one.
+
+    Returns
+    -------
+    LinearizedOperator
+    """
+    g = u.grid
+    uv = u.values
+    yv = coeffs.Y.values
+    s = np.sum(_grad_values(g, uv) * yv, axis=0) if np.any(yv) else 0.0
+    zeroth = np.zeros(g.shape)
+    weight = np.zeros(g.shape)
+    for _, coef, p, m in _terms(g.q, coeffs.a.values, coeffs):
+        zeroth += _monomial(coef * p, uv, p - 1.0, s, m)
+        if m:
+            weight += _monomial(coef * m, uv, p, s, m - 1)
+    k_lin = max(0.0, -float(zeroth.min())) + 1.0
+    return LinearizedOperator(zeroth=ScalarField(g, zeroth),
+                              first=VectorField(g, weight * yv), k_lin=k_lin)
 
 
 def _newton_tol(res_sup):
@@ -386,7 +443,6 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
     (ScalarField, MonotoneTrace)
     """
     g = psi.grid
-    q = g.q
     a = coeffs.a.values
     eps0 = pick_epsilon0(psi, coeffs)
     barrier = _residual_values(g, psi.values, a, coeffs)
@@ -400,18 +456,12 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
     uv = np.full(g.shape, eps0)
     u = ScalarField(g, uv)
     for it in range(max_outer):
-        th3 = ScalarField(
-            g, -coeffs.f.values * uv ** (q - 1.0)
-            - a * uv ** (-q - 1.0)
-            + coeffs.b.values / uv - K * uv)
-        data = GenEqData(
-            H=h_shift,
-            th1=ScalarField(g, uv ** (-q - 3.0)),
-            th2=ScalarField(g, coeffs.c.values
-                            * (coeffs.d.values * uv**-2 + uv ** (-q - 2.0))),
-            th3=th3,
-            Z=coeffs.Y,
-        )
+        # the frozen terms grouped by their power m of s: th3, th2, th1
+        frozen = [-h_shift.values * uv, np.zeros(g.shape), np.zeros(g.shape)]
+        for _, coef, p, m in _terms(g.q, a, coeffs):
+            frozen[m] += _monomial(coef, uv, p)
+        th3, th2, th1 = (ScalarField(g, v) for v in frozen)
+        data = GenEqData(H=h_shift, th1=th1, th2=th2, th3=th3, Z=coeffs.Y)
         u = solve_gen_eq(data, u)
         step = float(np.abs(u.values - uv).max())
         uv = u.values
@@ -466,6 +516,10 @@ def find_supersolution(h, f, a_tilde):
 
     # balance point of the two negative terms sets the natural scale
     t_mid = (max(np.abs(h.values).max(), 1.0) / f.values.min()) ** (1.0 / (q - 2.0))
+    # the bounded search stops once its bracket is within sqrt(eps) |t| +
+    # xatol / 3, so t is settled to about 1.5e-8 relative, whatever a small
+    # xatol: enough, as the margin is flat at its maximum.  xatol = 1e-13
+    # stays only because scipy's default 1e-5 would move the barrier.
     opt = minimize_scalar(lambda t: -_constant_margin(h, f, a_tilde, t),
                           bounds=(1e-3 * t_mid, 1e3 * t_mid), method="bounded",
                           options={"xatol": 1e-13})

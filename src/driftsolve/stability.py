@@ -1,6 +1,6 @@
-"""Linearization of the scalar equation and principal-eigenvalue iteration.
+"""Principal-eigenvalue iteration for the linearized scalar equation.
 
-The linearized operator at a solution ``u`` acts as
+The linearized operator ``scalar.linearize`` at a solution ``u`` acts as
 
     phi -> laplacian(phi) + zeroth * phi + <grad phi, first>,
 
@@ -16,13 +16,13 @@ restarted from the current Ritz vector when full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonConvergence, SignIndefiniteEigenfunction
-from .grid import (ScalarField, VectorField, _scalar_op_values, _shifted_lap_inverse,
-                   _unpaired_fraction, gradient)
+from .grid import ScalarField, _scalar_op_values, _shifted_lap_inverse, _unpaired_fraction
+from .scalar import LinearizedOperator, linearize
+
+__all__ = ["LinearizedOperator", "coercivity_eigenvalue", "linearize", "smallest_eigenvalue"]
 
 # Davidson basis size at which the iteration restarts from its Ritz vector.
 # A tighter cap restarts too often: at 6 or 8 the 8^3 drift operator of the
@@ -33,52 +33,6 @@ _BASIS_CAP = 48
 # relative size below which an orthogonalized correction counts as already
 # in the basis
 _DROP = 1e-10
-
-
-@dataclass
-class LinearizedOperator:
-    """Zeroth- and first-order coefficients plus a positivity shift.
-
-    ``k_lin`` is large enough that ``zeroth + k_lin`` is pointwise positive,
-    so the eigen preconditioner ``|k|^2 + mean(zeroth) + k_lin`` is at
-    least 1.
-    """
-
-    zeroth: ScalarField
-    first: VectorField
-    k_lin: float
-
-
-def linearize(u, coeffs):
-    """Differentiate the scalar residual at ``u``.
-
-    Returns
-    -------
-    LinearizedOperator
-    """
-    g = u.grid
-    q = g.q
-    uv = u.values
-    s = np.zeros(g.shape)
-    yv = coeffs.Y.values
-    if np.any(yv):
-        gu = gradient(u).values
-        s = np.sum(gu * yv, axis=0)
-    zeroth = (
-        coeffs.h.values
-        - (q - 1.0) * coeffs.f.values * uv ** (q - 2.0)
-        + (q + 1.0) * coeffs.a.values * uv ** (-q - 2.0)
-        - coeffs.b.values * uv**-2.0
-        - (q + 3.0) * s**2 * uv ** (-q - 4.0)
-        - coeffs.c.values * s * (2.0 * coeffs.d.values * uv**-3.0
-                                 + (q + 2.0) * uv ** (-q - 3.0))
-    )
-    weight = 2.0 * s * uv ** (-q - 3.0) + coeffs.c.values * (
-        coeffs.d.values * uv**-2.0 + uv ** (-q - 2.0))
-    first = weight * yv
-    k_lin = max(0.0, -float(zeroth.min())) + 1.0
-    return LinearizedOperator(zeroth=ScalarField(g, zeroth),
-                              first=VectorField(g, first), k_lin=k_lin)
 
 
 def _start(grid):
@@ -103,15 +57,16 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
     more than 1% unpaired-highest-mode content -- the zeroed derivative
     symbols make such modes artificially cheap, so they can sit below the
     physical ground state without being eigenfunctions of the resolved
-    problem.  The kept pair is tested with a fresh apply; then
-    the basis grows by its residual, preconditioned by division by the
-    Fourier symbol ``|k|^2 + mean(zeroth) + k_lin`` (at least 1, so no
-    linear solve is needed) and orthogonalized by classical Gram-Schmidt
-    run twice.  A direction already in the basis is dropped.  The basis
-    holds at most 48 vectors: when it is full, it restarts from the Ritz
-    vector, whose image follows by the same combination.  An iteration that
-    finds no acceptable pair grows the basis from the lowest Ritz pair
-    instead.
+    problem.  The kept pair's residual is combined from the stored images;
+    once it meets ``tol``, a fresh apply certifies the pair or, if the
+    certificate fails, gives the residual to go on from.  The basis grows
+    by the residual, preconditioned by division by the Fourier symbol
+    ``|k|^2 + mean(zeroth) + k_lin`` (at least 1, so no linear solve is
+    needed) and orthogonalized by classical Gram-Schmidt run twice.  A
+    direction already in the basis is dropped.  The basis holds at most 48
+    vectors: when it is full, it restarts from the Ritz vector, whose image
+    follows by the same combination.  An iteration that finds no acceptable
+    pair grows the basis from the lowest Ritz pair instead.
 
     Stops once the eigen-residual ``L phi - lambda phi`` is below ``tol`` in
     L2 relative to ``phi``.  The reported eigenvalue is the final Rayleigh
@@ -169,18 +124,20 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
             i = order[0]
         coef = ritz_vecs[:, i].real
         x = coef @ basis[:m]
-        if accepted:
+        ax = coef @ image[:m]  # the image of x, combined from the stored images
+        lam = float(ritz_vals[i].real)
+        r = ax - lam * x
+        resid = float(np.linalg.norm(r) / np.linalg.norm(x))
+        if accepted and resid <= tol:  # certify the pair with a fresh apply
             ax = apply(x)
             lam = float(x @ ax / (x @ x))
             r = ax - lam * x
             resid = float(np.linalg.norm(r) / np.linalg.norm(x))
             if resid <= tol:
                 break
-        else:
-            r = coef @ image[:m] - ritz_vals[i].real * x
         if m == _BASIS_CAP:
             nrm = np.linalg.norm(coef)
-            image[0] = coef @ image[:m] / nrm
+            image[0] = ax / nrm
             basis[0] = x / nrm
             m = 1
         m = grow(m, precond(r))

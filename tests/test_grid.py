@@ -18,7 +18,6 @@ from driftsolve.grid import (
     lame,
     lame_invert,
     laplacian,
-    mean,
     solve_scalar_linear,
     sup_norm,
     tensor_divergence,
@@ -201,7 +200,6 @@ def test_norms():
     u = sin_s(g)
     assert l2_norm(u) == pytest.approx(11.136655993663416, rel=1e-12)
     assert sup_norm(u) == pytest.approx(1.0, rel=1e-12)
-    assert mean(const_s(g, 2.5)) == pytest.approx(2.5, rel=1e-15)
     v = const_v(g, (3.0, 4.0, 0.0))
     assert sup_norm(v) == pytest.approx(5.0, rel=1e-12)  # pointwise Euclidean
     s = conformal_killing(vec_with(g, 0, ScalarField(g, -(3.0 / 4.0) * sin_s(g).values)))

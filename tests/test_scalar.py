@@ -13,7 +13,8 @@ from driftsolve.errors import (
     NoSupersolutionFound,
     NotASupersolution,
 )
-from driftsolve.grid import GridSpec, ScalarField, gradient, laplacian, sup_norm
+from driftsolve.grid import (GridSpec, ScalarField, SymTensorField, VectorField, gradient,
+                             laplacian, sup_norm)
 from driftsolve.scalar import (
     GenEqData,
     LichCoefficients,
@@ -459,6 +460,95 @@ def test_reduced_newton_terms_are_the_hand_written_ones():
                           h.values - (q - 1.0) * f.values * uv ** (q - 2.0)
                           + (q + 1.0) * at.values * uv ** (-q - 2.0))
     assert not np.any(op.first.values)
+
+
+def all_terms_problem(grid):
+    """Coefficients and a field at which all seven lower-order terms of the
+    residual are nonzero: b, c, d and Y vary in space."""
+    x = mesh(grid)
+    coeffs = LichCoefficients(
+        a=ScalarField(grid, 0.4 + 0.1 * np.cos(x[2])),
+        b=ScalarField(grid, 0.3 * np.sin(x[1])),
+        c=ScalarField(grid, 0.5 + 0.2 * np.cos(x[0])),
+        d=ScalarField(grid, 0.7 - 0.3 * np.sin(x[2])),
+        f=ScalarField(grid, 0.6 + 0.1 * np.sin(x[0])),
+        h=ScalarField(grid, 1.0 + 0.3 * np.cos(x[1])),
+        Y=VectorField(grid, np.stack([0.4 + 0.2 * np.sin(x[1]), 0.3 * np.cos(x[2]),
+                                      0.2 * np.sin(x[0] + x[1])])),
+    )
+    u = ScalarField(grid, 1.1 + 0.2 * np.sin(x[0]) * np.cos(x[1]) + 0.1 * np.cos(x[2]))
+    return coeffs, u
+
+
+def test_linearize_is_the_derivative_of_the_residual():
+    from driftsolve.grid import _scalar_op_values
+
+    g = GridSpec(dim=3, n_axis=8)
+    coeffs, u = all_terms_problem(g)
+    a = coeffs.a.values
+    s = np.sum(gradient(u).values * coeffs.Y.values, axis=0)
+    # each of the seven terms is nonzero: so are its coefficient and s
+    for field in (coeffs.b.values, coeffs.c.values * coeffs.d.values, s):
+        assert np.abs(field).max() > 0.05
+    x = mesh(g)
+    phi = 0.3 * np.cos(x[2]) + 0.2 * np.sin(x[0] + x[1]) - 0.1 * np.sin(2 * x[1])
+    op = driftsolve.scalar.linearize(u, coeffs)
+    exact = _scalar_op_values(g, op.zeroth.values, op.first.values, phi)
+    eps = 1e-5
+    central = (driftsolve.scalar._residual_values(g, u.values + eps * phi, a, coeffs)
+               - driftsolve.scalar._residual_values(g, u.values - eps * phi, a, coeffs)
+               ) / (2.0 * eps)
+    assert np.abs(central - exact).max() <= 1e-8 * np.abs(exact).max()
+
+
+def test_one_table_entry_changes_every_reader(monkeypatch):
+    # the residual, its linearization and the mapped slots all read one
+    # table: turning its tau_gradient term c d u^-2 s into c d u^-1 s^2
+    # moves each of them by exactly that change
+    import driftsolve.physical
+    from driftsolve.coupled import SystemCoefficients
+    from driftsolve.physical import mapped_constraint_terms
+
+    g = GridSpec(dim=3, n_axis=8)
+    coeffs, u = all_terms_problem(g)
+    # with Psi = 0 and w = 0 the realized coefficient is rho1 = a
+    sys = SystemCoefficients(b=coeffs.b, c=coeffs.c, d=coeffs.d, f=coeffs.f,
+                             h=coeffs.h, rho1=coeffs.a, rho2=const_s(g, 0.3),
+                             rho3=const_s(g, 1.0), Y=coeffs.Y,
+                             Psi=SymTensorField(g, np.zeros((3, 3) + g.shape)))
+    w = zero_v(g)
+
+    def readers():
+        res = scalar_residual(u, coeffs).values
+        op = driftsolve.scalar.linearize(u, coeffs)
+        return res, op.zeroth.values, op.first.values, mapped_constraint_terms(u, w, sys)
+
+    res0, zeroth0, first0, mapped0 = readers()
+    table = driftsolve.scalar._terms
+    assert driftsolve.physical._terms is table
+
+    def changed(q, a, k):
+        return [(slot, coef, -1.0, 2) if slot == "tau_gradient" else (slot, coef, p, m)
+                for slot, coef, p, m in table(q, a, k)]
+
+    for module in (driftsolve.scalar, driftsolve.physical):
+        monkeypatch.setattr(module, "_terms", changed)
+    res1, zeroth1, first1, mapped1 = readers()
+
+    uv = u.values
+    cd = coeffs.c.values * coeffs.d.values
+    s = np.sum(gradient(u).values * coeffs.Y.values, axis=0)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+
+    assert close(res1 - res0, cd * s**2 / uv - cd * s / uv**2)
+    assert close(zeroth1 - zeroth0, -cd * s**2 / uv**2 + 2.0 * cd * s / uv**3)
+    assert close(first1 - first0, (2.0 * cd * s / uv - cd / uv**2) * coeffs.Y.values)
+    assert close(mapped1["tau_gradient"], cd * s**2 / uv)
+    assert set(mapped1) == set(mapped0)
+    for slot in set(mapped0) - {"tau_gradient"}:
+        assert np.array_equal(mapped1[slot], mapped0[slot]), slot
 
 
 # ------------------------------------------------------------ supersolutions

@@ -211,6 +211,9 @@ def test_smallest_eigenvalue_band_limited_drift_certificate():
 
 
 def test_smallest_eigenvalue_apply_count(monkeypatch):
+    # the Ritz residual is combined from the stored images, so an iteration
+    # applies the operator only to the vector it adds, and the converged
+    # pair costs one fresh apply for its certificate (26 applies here)
     applies = []
 
     def counted(*args):
@@ -220,7 +223,7 @@ def test_smallest_eigenvalue_apply_count(monkeypatch):
     monkeypatch.setattr(stability, "_scalar_op_values", counted)
     lam, _ = smallest_eigenvalue(band_limited_drift_operator(seed=7))
     assert np.isfinite(lam)
-    assert len(applies) <= 60
+    assert len(applies) <= 30
 
 
 def test_smallest_eigenvalue_nests_no_linear_solve(monkeypatch):
