@@ -52,8 +52,8 @@ from .physical import (
     reconstruct_data,
     solve_drift_momentum,
 )
-from .scalar import (LichCoefficients, find_supersolution, linearize, monotone_iterate,
-                     scalar_residual)
+from .scalar import (_BARRIER_TOL, LichCoefficients, find_supersolution, linearize,
+                     monotone_iterate, scalar_residual)
 from .stability import smallest_eigenvalue
 from .verify import check_model_profile
 
@@ -98,9 +98,10 @@ def _vector_or_zero(grid, sec, name):
     return VectorField(grid, np.zeros((grid.dim,) + grid.shape))
 
 
-def _coeffs_from(grid, sec):
-    return LichCoefficients(
-        a=_field(grid, sec["a"], "a"),
+def _shared_coeffs(grid, sec):
+    """The coefficients ``b c d f h Y`` of the scalar equation, which the
+    scalar and the system sections spell alike, as keyword arguments."""
+    return dict(
         b=_scalar_or_const(grid, sec, "b", 0.0),
         c=_scalar_or_const(grid, sec, "c", 0.0),
         d=_scalar_or_const(grid, sec, "d", 0.0),
@@ -110,17 +111,16 @@ def _coeffs_from(grid, sec):
     )
 
 
+def _coeffs_from(grid, sec):
+    return LichCoefficients(a=_field(grid, sec["a"], "a"), **_shared_coeffs(grid, sec))
+
+
 def _system_from(grid, sec):
     sys_coeffs = SystemCoefficients(
-        b=_scalar_or_const(grid, sec, "b", 0.0),
-        c=_scalar_or_const(grid, sec, "c", 0.0),
-        d=_scalar_or_const(grid, sec, "d", 0.0),
-        f=_field(grid, sec["f"], "f"),
-        h=_field(grid, sec["h"], "h"),
+        **_shared_coeffs(grid, sec),
         rho1=_field(grid, sec["rho1"], "rho1"),
         rho2=_scalar_or_const(grid, sec, "rho2", 0.0),
         rho3=_scalar_or_const(grid, sec, "rho3", 1.0),
-        Y=_vector_or_zero(grid, sec, "Y"),
         Psi=SymTensorField(grid, np.zeros((grid.dim, grid.dim) + grid.shape)),
         rhs_mode="zero",
     )
@@ -137,22 +137,12 @@ def _section(cfg, name, mode):
 # ------------------------------------------------------------------ reports
 
 
-def _native(obj):
-    if isinstance(obj, dict):
-        return {k: _native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_native(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_native(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 def _write_report(out_dir, report):
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(_native(report), fh, indent=2, sort_keys=True)
+        # numpy arrays, integers and bools serialize through tolist();
+        # np.float64 is a float already
+        json.dump(report, fh, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
         fh.write("\n")
 
 
@@ -168,7 +158,7 @@ def _run_solve_scalar(cfg, grid, report, out_dir, dump):
     if "psi" in sec:
         candidate = _field(grid, sec["psi"], "psi")
         defect = float(scalar_residual(candidate, coeffs).values.min())
-        if defect >= -1e-8:
+        if defect >= _BARRIER_TOL:
             psi = candidate
             info["psi_source"] = "config"
         else:
@@ -204,7 +194,7 @@ def _run_solve_momentum(cfg, grid, report, out_dir, dump):
     w, kernel = solve_lame(prob, tol=tol)
     report["momentum"] = {
         "w_sup": float(sup_norm(w)),
-        "kernel": _native(dataclasses.asdict(kernel)),
+        "kernel": dataclasses.asdict(kernel),
     }
     if dump:
         write_field(out_dir / "w.dcf", w)
@@ -215,7 +205,7 @@ def _grade_system(cfg, report, sys_coeffs, a_tilde):
     """Grade the system into the report; False if a hypothesis fails."""
     c_n = float(cfg.get("hypotheses", {}).get("c_n", 1.0))
     rep = check_hypotheses(sys_coeffs, a_tilde, c_n=c_n)
-    report["hypotheses"] = _native(dataclasses.asdict(rep))
+    report["hypotheses"] = dataclasses.asdict(rep)
     if any(v == "FAIL" for v in rep.verdicts.values()):
         report["status"] = "hypothesis-fail"
         return False
@@ -234,7 +224,7 @@ def _run_solve_coupled(cfg, grid, report, out_dir, dump):
     if not _grade_system(cfg, report, sys_coeffs, a_tilde):
         return 2
     u, w, crep = fixed_point_solve(sys_coeffs, a_tilde, tol_outer=tol)
-    report["coupled"] = _native(dataclasses.asdict(crep))
+    report["coupled"] = dataclasses.asdict(crep)
     if dump:
         write_field(out_dir / "u.dcf", u)
         write_field(out_dir / "w.dcf", w)
@@ -285,7 +275,7 @@ def _run_map_physical(cfg, grid, report, out_dir, dump):
         "codazzi_sup": float(sup_norm(cod)),
         "tau_min": float(data.tau.values.min()),
         "tau_max": float(data.tau.values.max()),
-        "kernel": _native(dataclasses.asdict(kernel)),
+        "kernel": dataclasses.asdict(kernel),
     }
     if dump:
         write_field(out_dir / "u.dcf", u)

@@ -104,27 +104,17 @@ def field_from_spec(grid, spec, kind="scalar"):
     Scalar specs combine a constant offset with a list of Fourier modes,
     each ``{"wavevector": [..], "cos_amp": a, "sin_amp": b}`` with phase
     :meth:`GridSpec.phase` of the wavevector; a spec naming neither part is
-    rejected.  Vector (``kind="vector"``) and symmetric tensor
-    (``kind="tensor"``) specs wrap scalar specs in a ``"components"`` list:
-    dim entries for vectors, dim*(dim+1)/2 upper-triangle entries for
-    tensors.
+    rejected.  Vector specs (``kind="vector"``) wrap dim scalar specs in a
+    ``"components"`` list.
     """
     if kind == "scalar":
         return _scalar_from_spec(grid, spec)
+    if kind != "vector":
+        raise ConfigError(f"unknown field kind {kind!r}")
     if not isinstance(spec, dict) or "components" not in spec:
-        raise ConfigError(f"{kind} spec needs a 'components' list: {spec!r}")
+        raise ConfigError(f"vector spec needs a 'components' list: {spec!r}")
     comps = spec["components"]
-    if kind == "vector":
-        if len(comps) != grid.dim:
-            raise ConfigError(f"vector spec needs {grid.dim} components")
-        vals = np.array([_scalar_from_spec(grid, c).values for c in comps])
-        return VectorField(grid, vals)
-    if kind == "tensor":
-        pairs = _upper_triangle(grid.dim)
-        if len(comps) != len(pairs):
-            raise ConfigError(f"tensor spec needs {len(pairs)} components")
-        vals = np.empty((grid.dim, grid.dim) + grid.shape)
-        for (i, j), c in zip(pairs, comps):
-            vals[i, j] = vals[j, i] = _scalar_from_spec(grid, c).values
-        return SymTensorField(grid, vals)
-    raise ConfigError(f"unknown field kind {kind!r}")
+    if len(comps) != grid.dim:
+        raise ConfigError(f"vector spec needs {grid.dim} components")
+    vals = np.array([_scalar_from_spec(grid, c).values for c in comps])
+    return VectorField(grid, vals)

@@ -426,19 +426,18 @@ def solve_scalar_linear(grid, h, drift, rhs, tol=1e-12):
     Notes
     -----
     Constant ``h`` without drift is a diagonal division in Fourier space.
-    Otherwise GMRES runs with that diagonal solve (at the mean of ``h``)
-    as preconditioner, in at most four defect-correction rounds.  Each
-    round accepts its answer once the recomputed residual ``r`` meets
-    ``sup|r| <= tol max(1, sup|rhs|)``.  GMRES aims at the ``tol`` it is
-    given: started on the round's residual ``r0``, it stops once its
-    residual has 2-norm at most ``max(1e-13 |r0|_2, tol max(1, sup|rhs|)
-    / 2)``, i.e. at the relative target ``max(1e-13, tol max(1, sup|rhs|)
-    / (2 |r0|_2))``.  The 2-norm bounds the sup-norm, so GMRES's own stop
-    implies the round's test, and a loose ``tol`` costs fewer operator
-    applies.  When ``r0`` already meets the bound GMRES returns at once.
-    Each round gets at most ten restart cycles: on a nearly singular
-    operator GMRES's own target lies under the roundoff floor, where
-    further cycles gain nothing.
+    Otherwise one GMRES call solves ``A M y = rhs`` and the answer is
+    ``u = M y``: the operator ``A`` is right-preconditioned by ``M``, that
+    diagonal solve at ``max(mean(h), 1e-2)``.  With right preconditioning
+    GMRES minimizes the residual ``rhs - A u`` itself, and at the end of
+    every restart cycle scipy recomputes it from the current iterate.  GMRES
+    stops once its 2-norm is at most ``tol max(1, sup|rhs|) / 2``, with no
+    relative floor, so a loose ``tol`` costs fewer operator applies.  The
+    2-norm bounds the sup-norm, and the answer is accepted once the
+    recomputed ``sup|rhs - A u|`` is at most ``tol max(1, sup|rhs|)``.
+    GMRES gets at most 40 restart cycles of 60 steps: on a nearly singular
+    operator the target lies under the roundoff floor, where further
+    cycles gain nothing.
     """
     hv = h.values
     bv = None if drift is None else drift.values
@@ -471,19 +470,12 @@ def solve_scalar_linear(grid, h, drift, rhs, tol=1e-12):
         return _scalar_op_values(grid, hv, bv, flat.reshape(grid.shape)).ravel()
 
     apply_pre = _shifted_lap_inverse(grid, max(float(np.mean(hv)), 1e-2))
-    a_op = LinearOperator((n_total, n_total), matvec=apply_op, dtype=np.float64)
-    m_op = LinearOperator((n_total, n_total), matvec=apply_pre, dtype=np.float64)
-
+    a_pre = LinearOperator((n_total, n_total), matvec=lambda y: apply_op(apply_pre(y)),
+                           dtype=np.float64)
     b = rhs.values.ravel()
-    u = np.zeros(n_total)
-    r = b.copy()
-    for _ in range(4):
-        # scipy stops at 2-norm max(atol, rtol |r|_2): the target above
-        du, _ = gmres(a_op, r, M=m_op, rtol=1e-13, atol=0.5 * tol * scale,
-                      restart=60, maxiter=10)
-        u = u + du
-        r = b - apply_op(u)
-        if np.abs(r).max() <= tol * scale:
-            return ScalarField(grid, u.reshape(grid.shape))
-    raise NonConvergence("linear scalar solve stalled",
-                         iterations=4, residual=float(np.abs(r).max()))
+    y, _ = gmres(a_pre, b, rtol=0.0, atol=0.5 * tol * scale, restart=60, maxiter=40)
+    u = apply_pre(y)
+    r_sup = float(np.abs(b - apply_op(u)).max())
+    if r_sup > tol * scale:
+        raise NonConvergence("linear scalar solve stalled", iterations=40, residual=r_sup)
+    return ScalarField(grid, u.reshape(grid.shape))

@@ -313,7 +313,7 @@ def constraint_residuals(data, phys):
                 + (n - 2.0) * np.einsum("ij...,j...->i...", k_vals, g_om)
                 - tr_delta * g_om) / gfac
     cod = (gradient(tr_k).values - div_conf
-           + data.pi_hat.values * gradient(data.psi_hat).values)
+           + data.pi_hat.values * gpsi)
     return ScalarField(g, ham), VectorField(g, cod)
 
 

@@ -61,6 +61,7 @@ _MAX_NEWTON = 50  # Newton steps allowed to one frozen sweep problem
 _MAX_HALVINGS = 12  # step halvings in one Newton line search
 _SWEEPS_BEFORE_POLISH = 5  # sweeps before Newton on the full residual
 _MAX_POLISH = 12  # Newton steps allowed to that polish
+_BARRIER_TOL = -1e-8  # least pointwise residual an upper barrier may have
 
 
 @dataclass
@@ -129,16 +130,12 @@ def scalar_residual(u, coeffs):
 
 @dataclass
 class LinearizedOperator:
-    """Zeroth- and first-order coefficients plus a positivity shift.
-
-    ``k_lin`` is large enough that ``zeroth + k_lin`` is pointwise positive,
-    so the eigen preconditioner ``|k|^2 + mean(zeroth) + k_lin`` is at
-    least 1.
-    """
+    """The operator ``phi -> laplacian(phi) + zeroth phi + <grad phi, first>``
+    as its zeroth- and first-order coefficients; ``first`` is a field, zero
+    when the operator has no drift."""
 
     zeroth: ScalarField
     first: VectorField
-    k_lin: float
 
 
 def linearize(u, coeffs):
@@ -160,9 +157,7 @@ def linearize(u, coeffs):
         zeroth += _monomial(coef * p, uv, p - 1.0, s, m)
         if m:
             weight += _monomial(coef * m, uv, p, s, m - 1)
-    k_lin = max(0.0, -float(zeroth.min())) + 1.0
-    return LinearizedOperator(zeroth=ScalarField(g, zeroth),
-                              first=VectorField(g, weight * yv), k_lin=k_lin)
+    return LinearizedOperator(zeroth=ScalarField(g, zeroth), first=VectorField(g, weight * yv))
 
 
 def _newton_tol(res_sup):
@@ -446,7 +441,7 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
     a = coeffs.a.values
     eps0 = pick_epsilon0(psi, coeffs)
     barrier = _residual_values(g, psi.values, a, coeffs)
-    if barrier.min() < -1e-8:
+    if barrier.min() < _BARRIER_TOL:
         node = np.unravel_index(int(np.argmin(barrier)), g.shape)
         raise NotASupersolution(node, float(barrier.min()))
     K = compute_K(coeffs, eps0, float(psi.values.max()))
@@ -524,7 +519,7 @@ def find_supersolution(h, f, a_tilde):
                           bounds=(1e-3 * t_mid, 1e3 * t_mid), method="bounded",
                           options={"xatol": 1e-13})
     best_t, best_margin = float(opt.x), -float(opt.fun)
-    if best_margin >= -1e-8:
+    if best_margin >= _BARRIER_TOL:
         return ScalarField(g, np.full(g.shape, best_t))
 
     # stage two: exact nonconstant solution of the reduced equation; the

@@ -9,9 +9,10 @@ branch point.  With drift the operator is not symmetric, but the ground
 state is still real with a sign-definite eigenfunction, which a
 preconditioned Davidson iteration on a single Ritz pair recovers and
 certifies.  Its preconditioner is the Fourier symbol
-``|k|^2 + mean(zeroth) + k_lin``, a diagonal division, so the eigen
-iteration nests no linear solve.  The basis is capped at 48 vectors and
-restarted from the current Ritz vector when full.
+``|k|^2 + mean(zeroth) + max(0, -min(zeroth)) + 1``, at least 1 and a
+diagonal division, so the eigen iteration nests no linear solve.  The
+basis is capped at 48 vectors and restarted from the current Ritz vector
+when full.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonConvergence, SignIndefiniteEigenfunction
-from .grid import ScalarField, _scalar_op_values, _shifted_lap_inverse, _unpaired_fraction
+from .grid import (ScalarField, VectorField, _scalar_op_values, _shifted_lap_inverse,
+                   _unpaired_fraction)
 from .scalar import LinearizedOperator, linearize
 
 __all__ = ["LinearizedOperator", "coercivity_eigenvalue", "linearize", "smallest_eigenvalue"]
@@ -61,12 +63,13 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
     once it meets ``tol``, a fresh apply certifies the pair or, if the
     certificate fails, gives the residual to go on from.  The basis grows
     by the residual, preconditioned by division by the Fourier symbol
-    ``|k|^2 + mean(zeroth) + k_lin`` (at least 1, so no linear solve is
-    needed) and orthogonalized by classical Gram-Schmidt run twice.  A
-    direction already in the basis is dropped.  The basis holds at most 48
-    vectors: when it is full, it restarts from the Ritz vector, whose image
-    follows by the same combination.  An iteration that finds no acceptable
-    pair grows the basis from the lowest Ritz pair instead.
+    ``|k|^2 + mean(zeroth) + max(0, -min(zeroth)) + 1`` (at least 1, so no
+    linear solve is needed) and orthogonalized by classical Gram-Schmidt
+    run twice.  A direction already in the basis is dropped.  The basis
+    holds at most 48 vectors: when it is full, it restarts from the Ritz
+    vector, whose image follows by the same combination.  An iteration
+    that finds no acceptable pair grows the basis from the lowest Ritz pair
+    instead.
 
     Stops once the eigen-residual ``L phi - lambda phi`` is below ``tol`` in
     L2 relative to ``phi``.  The reported eigenvalue is the final Rayleigh
@@ -87,8 +90,9 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
     """
     g = op.zeroth.grid
     zeroth = op.zeroth.values
-    drift = op.first.values if op.first is not None and np.any(op.first.values) else None
-    precond = _shifted_lap_inverse(g, float(np.mean(zeroth)) + op.k_lin)
+    drift = op.first.values if np.any(op.first.values) else None
+    shift = max(0.0, -float(zeroth.min())) + 1.0
+    precond = _shifted_lap_inverse(g, float(np.mean(zeroth)) + shift)
     basis = np.empty((_BASIS_CAP, zeroth.size))
     image = np.empty_like(basis)
 
@@ -158,7 +162,7 @@ def smallest_eigenvalue(op, tol=5e-9, max_iter=800):
 
 def coercivity_eigenvalue(h, tol=5e-9, max_iter=2000):
     """Smallest eigenvalue of ``laplacian + h`` (symmetric, no drift)."""
-    k = max(0.0, -float(h.values.min())) + 1.0
-    op = LinearizedOperator(zeroth=h, first=None, k_lin=k)
+    g = h.grid
+    op = LinearizedOperator(zeroth=h, first=VectorField(g, np.zeros((g.dim,) + g.shape)))
     lam, _ = smallest_eigenvalue(op, tol=tol, max_iter=max_iter)
     return lam

@@ -124,6 +124,10 @@ def test_field_from_spec_vector():
     x = mesh(g)
     assert np.allclose(v.values[0], np.sin(x[0]) + np.zeros(g.shape), atol=1e-14)
     assert np.all(v.values[2] == 2.0)
+    # tensors are not built from specs: a component list of the tensor
+    # kind's length is an unknown kind, not a tensor field
+    with pytest.raises(ConfigError, match="unknown field kind 'tensor'"):
+        field_from_spec(g, {"components": spec["components"] * 2}, kind="tensor")
 
 
 def test_field_from_spec_rejects_unresolvable_modes():

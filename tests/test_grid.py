@@ -247,14 +247,28 @@ def test_linear_solve_with_drift():
     assert np.abs(u.values - u_star.values).max() <= 1e-9
 
 
-def test_linear_solve_stops_at_the_requested_tol(op_applies):
-    # GMRES aims at the requested tol: a loose tol meets its residual test
-    # in fewer operator applies than a tight one
+def drift_problem():
+    """16^3 operator with variable ``h`` and drift, and a right side."""
     g = GridSpec(dim=3, n_axis=16)
     h = sin_s(g, axis=0, amp=0.5, offset=2.0)
     drift = VectorField(g, np.stack([0.3 * cos_s(g, axis=1).values,
                                      np.full(g.shape, 0.2), np.zeros(g.shape)]))
-    rhs = cos_s(g, axis=2)
+    return g, h, drift, cos_s(g, axis=2)
+
+
+def nearly_singular_problem():
+    """8^3 operator whose h = -1 + 1e-6 sin x1 nearly cancels the |k| = 1
+    modes, and a right side with content on them."""
+    g = GridSpec(dim=3, n_axis=8)
+    h = ScalarField(g, -1.0 + 1e-6 * sin_s(g).values)
+    rhs = ScalarField(g, cos_s(g, axis=1).values + sin_s(g, axis=2, amp=0.3, mode=2).values)
+    return g, h, None, rhs
+
+
+def test_linear_solve_stops_at_the_requested_tol(op_applies):
+    # GMRES aims at the requested tol: a loose tol meets its residual test
+    # in fewer operator applies than a tight one
+    g, h, drift, rhs = drift_problem()
     work = {}
     for tol in (1e-6, 1e-12):
         op_applies[0] = 0
@@ -275,11 +289,8 @@ def test_linear_solve_singular_operator():
 
 
 def test_linear_solve_gives_up_on_nearly_singular_operator(monkeypatch):
-    # h = -1 + 1e-6 sin x1 nearly cancels the |k| = 1 modes: no iterate gets
-    # within the tolerance, and the solve must say so after bounded work
-    g = GridSpec(dim=3, n_axis=8)
-    h = ScalarField(g, -1.0 + 1e-6 * sin_s(g).values)
-    rhs = ScalarField(g, cos_s(g, axis=1).values + sin_s(g, axis=2, amp=0.3, mode=2).values)
+    # no iterate gets within the tolerance, and the solve must say so after
+    # bounded work
     n_fft = [0]
     rfftn = np.fft.rfftn
 
@@ -289,10 +300,33 @@ def test_linear_solve_gives_up_on_nearly_singular_operator(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
     with pytest.raises(NonConvergence):
-        solve_scalar_linear(g, h, None, rhs)
-    # four rounds of at most ten restart cycles; a cycle of 60 steps costs
-    # two transforms a step plus a few (the unbounded solve took ~195000)
+        solve_scalar_linear(*nearly_singular_problem())
+    # at most 40 restart cycles; a cycle of 60 steps costs two transforms a
+    # step plus a few (the unbounded solve took ~195000)
     assert 0 < n_fft[0] <= 4 * 10 * (2 * 60 + 3)
+
+
+def test_linear_solve_makes_one_gmres_call(monkeypatch):
+    # the solve is one right-preconditioned GMRES call, whether it meets a
+    # loose or a tight tol or gives up on a nearly singular operator
+    import scipy.sparse.linalg
+
+    calls = [0]
+    gmres = scipy.sparse.linalg.gmres
+
+    def counting_gmres(*args, **kwargs):
+        calls[0] += 1
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", counting_gmres)
+    for tol in (1e-6, 1e-12):
+        calls[0] = 0
+        solve_scalar_linear(*drift_problem(), tol=tol)
+        assert calls[0] == 1
+    calls[0] = 0
+    with pytest.raises(NonConvergence):
+        solve_scalar_linear(*nearly_singular_problem())
+    assert calls[0] == 1
 
 
 def test_linear_solve_refuses_unpaired_corner_content():

@@ -420,7 +420,7 @@ def test_polish_solver_error_resumes_sweeps(monkeypatch, pure_sweeps):
 
 def test_polish_apply_budget(op_applies):
     # Newton linear solves stop at the forcing target 1e-4 sup|residual|:
-    # the 16^3 drift problem costs 124 applies (205 with every linear solve
+    # the 16^3 drift problem costs 117 applies (168 with every linear solve
     # at 1e-12), with the same answer
     g = GridSpec(dim=3, n_axis=16)
     coeffs, u_star = drift_problem(g)
@@ -647,8 +647,8 @@ def test_find_supersolution_newton_fallback():
 
 def test_find_supersolution_refuses_infeasible_level_cheaply(op_applies):
     # criterion 09's nominal level has no barrier: stage two's Newton search
-    # must give up within a bounded number of operator applies (89 with the
-    # forcing target, 1731 with every linear solve at 1e-11)
+    # must give up within a bounded number of operator applies (79 with the
+    # forcing target, 8225 with every linear solve at 1e-11)
     g = GridSpec(dim=3, n_axis=32)
     at = ScalarField(g, 0.5 * sin_s(g, amp=0.1, offset=1.0).values + 0.2)
     with pytest.raises(NoSupersolutionFound) as info:

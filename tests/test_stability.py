@@ -50,7 +50,6 @@ def test_linearize_hand_value():
     op = linearize(const_s(g, 1.0), constant_coeffs(g))
     assert np.abs(op.zeroth.values - 2.0).max() <= 1e-13
     assert np.abs(op.first.values).max() == 0.0
-    assert op.zeroth.values.min() + op.k_lin >= 0.0
 
 
 def test_linearize_affine_shift_in_a():
@@ -92,7 +91,7 @@ def test_linearize_first_term_formula():
 
 def test_smallest_eigenvalue_constant_operator():
     g = GridSpec(dim=3, n_axis=16)
-    op = LinearizedOperator(zeroth=const_s(g, 1.0), first=zero_v(g), k_lin=1.0)
+    op = LinearizedOperator(zeroth=const_s(g, 1.0), first=zero_v(g))
     lam, phi = smallest_eigenvalue(op)
     assert lam == pytest.approx(1.0, abs=1e-10)
     assert phi.values.std() <= 1e-9
@@ -103,7 +102,7 @@ def test_smallest_eigenvalue_constant_operator():
 def test_smallest_eigenvalue_constant_drift_keeps_constant_mode():
     g = GridSpec(dim=3, n_axis=16)
     op = LinearizedOperator(zeroth=const_s(g, 1.0),
-                            first=const_v(g, (0.7, -0.2, 0.1)), k_lin=1.0)
+                            first=const_v(g, (0.7, -0.2, 0.1)))
     lam, phi = smallest_eigenvalue(op)
     assert lam == pytest.approx(1.0, abs=1e-8)
     assert phi.values.min() * phi.values.max() > 0
@@ -112,7 +111,7 @@ def test_smallest_eigenvalue_constant_drift_keeps_constant_mode():
 def test_smallest_eigenvalue_certificate():
     g = GridSpec(dim=3, n_axis=8)
     op = LinearizedOperator(zeroth=sin_s(g, amp=0.3, offset=1.0),
-                            first=zero_v(g), k_lin=2.0)
+                            first=zero_v(g))
     lam, phi = smallest_eigenvalue(op)
     resid = laplacian(phi).values + op.zeroth.values * phi.values - lam * phi.values
     num = float(np.sqrt(np.mean(resid**2) * g.volume))
@@ -123,7 +122,7 @@ def test_smallest_eigenvalue_certificate():
 def test_smallest_eigenvalue_matches_dense_oracle():
     g = GridSpec(dim=3, n_axis=8)
     zeroth = sin_s(g, amp=0.3, offset=1.0)
-    op = LinearizedOperator(zeroth=zeroth, first=zero_v(g), k_lin=2.0)
+    op = LinearizedOperator(zeroth=zeroth, first=zero_v(g))
     lam, _ = smallest_eigenvalue(op)
     dense = oracles.dense_scalar_operator(3, 8, zeroth.values)
     ref = oracles.min_real_eigenvalue(dense)
@@ -139,7 +138,7 @@ def drift_oracle_operator():
     x = mesh(g)
     first = np.zeros((3,) + g.shape)
     first[0] = 0.2 * np.cos(x[1])
-    op = LinearizedOperator(zeroth=zeroth, first=VectorField(g, first), k_lin=2.0)
+    op = LinearizedOperator(zeroth=zeroth, first=VectorField(g, first))
     return op, oracles.dense_scalar_operator(3, 8, zeroth.values, first=first)
 
 
@@ -180,7 +179,7 @@ def test_smallest_eigenvalue_from_start_seeded_with_unpaired_content(monkeypatch
 def test_rayleigh_consistency_symmetric_case():
     g = GridSpec(dim=3, n_axis=8)
     zeroth = sin_s(g, amp=0.4, offset=0.8)
-    op = LinearizedOperator(zeroth=zeroth, first=zero_v(g), k_lin=2.0)
+    op = LinearizedOperator(zeroth=zeroth, first=zero_v(g))
     lam, phi = smallest_eigenvalue(op)
     gphi = gradient(phi).values
     num = np.mean(np.sum(gphi**2, axis=0)) + np.mean(zeroth.values * phi.values**2)
@@ -194,8 +193,7 @@ def band_limited_drift_operator(seed):
     zeroth = 1.0 + random_band_limited(g, rng, amp=0.5).values
     first = random_vector(g, rng, amp=0.3).values
     return LinearizedOperator(zeroth=ScalarField(g, zeroth),
-                              first=VectorField(g, first),
-                              k_lin=max(0.0, -float(zeroth.min())) + 1.0)
+                              first=VectorField(g, first))
 
 
 def test_smallest_eigenvalue_band_limited_drift_certificate():
