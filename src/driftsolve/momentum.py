@@ -12,11 +12,14 @@ before any iteration: the grid is too coarse to hold it.
 
 Variable ``rho3`` is handled by defect correction: repeatedly invert the
 constant-coefficient operator on the current residual divided by ``rho3``
-(:func:`grid.lame_invert` maps the operator kernel to zero, so the iterate
-needs no projection of its own).  The iteration contracts when ``rho3`` is
-gentle (small gradient relative to the closed-form operator constant
-``length / (2 pi)`` of :func:`estimate_C1`) and is guarded both a priori and
-empirically.
+(the inverse maps the operator kernel to zero, so the iterate needs no
+projection of its own).  The iterate is kept as a half spectrum: each step
+adds the inverse's spectra and applies ``div(rho3 cdev W)`` from them, with
+the flux formed on its upper triangle less the last diagonal entry, which
+the trace-free flux fixes; ``W`` reaches the grid once, after the last
+step.  The iteration contracts when ``rho3`` is gentle (small gradient
+relative to the closed-form operator constant ``length / (2 pi)`` of
+:func:`estimate_C1`) and is guarded both a priori and empirically.
 """
 
 from __future__ import annotations
@@ -29,12 +32,13 @@ from .errors import ContractionViolated, NonConvergence, NonPositiveField, Under
 from .grid import (
     ScalarField,
     VectorField,
-    _cdev_values,
+    _lame_apply_hat,
+    _lame_invert_hat,
     _project_solvable,
-    _tensor_div_values,
+    _rfft,
+    _stack_to_real,
     divergence,
     gradient,
-    lame_invert,
     sup_norm,
 )
 
@@ -92,8 +96,7 @@ _UNRESOLVED_LIMIT = 1e-7
 
 
 def _apply_operator(rho3, w_vals):
-    g = rho3.grid
-    return _tensor_div_values(g, rho3.values * _cdev_values(g, w_vals))
+    return _lame_apply_hat(rho3.grid, rho3.values, [_rfft(c) for c in w_vals])
 
 
 def estimate_C1(grid):
@@ -139,7 +142,7 @@ def solve_lame(prob, tol=1e-10, max_iter=60):
         raise UnderResolved(content=unresolved, limit=_UNRESOLVED_LIMIT * scale)
     rho = prob.rho3.values
 
-    w_vals = np.zeros_like(xp)
+    w_hat = 0.0
     r = xp
     resids = [float(np.abs(r).max())]
     while resids[-1] > tol * scale:
@@ -150,9 +153,10 @@ def solve_lame(prob, tol=1e-10, max_iter=60):
             raise ContractionViolated(
                 f"vector defect correction diverges: residuals "
                 f"{resids[-3]:.3e} -> {resids[-2]:.3e} -> {resids[-1]:.3e}")
-        w_vals = w_vals + lame_invert(VectorField(g, r / rho)).values
-        r = xp - _apply_operator(prob.rho3, w_vals)
+        w_hat = w_hat + _lame_invert_hat(g, r / rho)
+        r = xp - _lame_apply_hat(g, rho, w_hat)
         resids.append(float(np.abs(r).max()))
+    w_vals = _stack_to_real(g, w_hat) if len(resids) > 1 else np.zeros_like(xp)
 
     ratios = [resids[0] / scale] + [
         resids[i] / resids[i - 1] if resids[i - 1] > 0 else 0.0

@@ -329,6 +329,29 @@ def test_linear_solve_makes_one_gmres_call(monkeypatch):
     assert calls[0] == 1
 
 
+def test_converged_linear_solve_applies_only_inside_gmres(monkeypatch, op_applies):
+    # a converged GMRES call has checked the residual of its answer by the
+    # same operator apply, so the solve makes no apply of its own
+    import scipy.sparse.linalg
+    from scipy.sparse.linalg import LinearOperator
+
+    matvecs = [0]
+    gmres = scipy.sparse.linalg.gmres
+
+    def counting_gmres(a, b, **kwargs):
+        def matvec(y):
+            matvecs[0] += 1
+            return a.matvec(y)
+        return gmres(LinearOperator(a.shape, matvec=matvec, dtype=a.dtype), b, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", counting_gmres)
+    for tol in (1e-6, 1e-12):
+        matvecs[0] = op_applies[0] = 0
+        solve_scalar_linear(*drift_problem(), tol=tol)
+        assert matvecs[0] > 0
+        assert op_applies[0] == matvecs[0]
+
+
 def test_linear_solve_refuses_unpaired_corner_content():
     # cos(4 x1) is the pure unpaired corner of axis 0 on 8 points: the
     # Laplacian annihilates it, so lap u = rhs has no solution

@@ -6,6 +6,9 @@
 * Only ``grid`` touches a spectrum: no other module accesses ``.fft`` or a
   spectral attribute of ``GridSpec``, or imports ``fft`` or the inverse
   transform ``_to_real``.
+* Every transform goes through the one seam: ``fft`` appears (as an
+  attribute or in an import) only inside the bodies of ``grid._rfft`` and
+  ``grid._to_real``, so counting transforms there counts them all.
 * No function assigns a local it never reads (``_``-prefixed names aside).
 * No function writes into module-level state: no ``global`` statement, and
   no subscript store or ``.update``/``.setdefault``/``.append`` call on a
@@ -29,6 +32,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 SPECTRAL = {"fft", "_k2", "_inv_k2", "_ik", "_pair_weight",
             "_unpaired_half", "_kernel_half"}
 NOT_IMPORTED = SPECTRAL | {"_to_real"}
+SEAM = {"_rfft", "_to_real"}
 MUTATORS = {"update", "setdefault", "append"}
 LAZY = {"scipy"}
 
@@ -73,6 +77,27 @@ def spectral_leaks(source):
             leaks += [(alias.name, node.lineno) for alias in node.names
                       if not NOT_IMPORTED.isdisjoint(f"{module}.{alias.name}".split("."))]
     return leaks
+
+
+def transforms_outside_seam(source):
+    """(scope, line) of each ``fft`` attribute access, and of each import of
+    or from an ``fft`` module, outside the bodies of the top-level ``SEAM``
+    functions; the scope is the top-level definition holding the use, or
+    ``<module>``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in SEAM:
+            continue
+        scope = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                found.append((scope, node.lineno))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]
+                if any("fft" in name.split(".") for name in names):
+                    found.append((scope, node.lineno))
+    return found
 
 
 def unused_locals(source):
@@ -205,6 +230,20 @@ def test_scan_finds_spectral_leaks():
         ("numpy.fft", 1), ("rfftn", 3)]
 
 
+def test_scan_finds_transforms_outside_seam():
+    source = ("import numpy as np\nimport numpy.fft\nfrom scipy import fft\n"
+              "def _rfft(v):\n    return np.fft.rfftn(v)\n"
+              "def _to_real(g, h):\n    return np.fft.irfftn(h, s=g.shape)\n"
+              "def lap(g, v):\n    return np.fft.irfftn(g.k2 * _rfft(v))\n"
+              "class Plan:\n    def _rfft(self, v):\n        return numpy.fft.rfftn(v)\n"
+              "def outer():\n    def _to_real(h):\n        from numpy.fft import irfftn\n"
+              "        return irfftn(h)\n    return _to_real\n"
+              "spectrum = np.fft.rfftn\nfftshift = np.roll\n")
+    assert transforms_outside_seam(source) == [
+        ("<module>", 2), ("<module>", 3), ("lap", 9), ("Plan", 12),
+        ("outer", 15), ("<module>", 18)]
+
+
 def test_scan_finds_unused_locals():
     source = ("def f(a):\n    g = a.grid\n    k, _ = a.pair\n    total = 0\n"
               "    for _ in a:\n        total += 1\n    def inner():\n"
@@ -265,6 +304,11 @@ def test_module_imports_are_used(path):
                          ids=lambda p: p.name)
 def test_only_grid_touches_a_spectrum(path):
     assert spectral_leaks(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_transforms_only_in_the_seam(path):
+    assert transforms_outside_seam(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -28,6 +28,7 @@ from driftsolve.grid import (
     solve_scalar_linear,
     tensor_divergence,
 )
+from driftsolve.momentum import _apply_operator
 
 from oracles import axes, ref_grad, ref_lap
 
@@ -139,6 +140,17 @@ def test_vector_kernels_match_full_spectrum(case):
     proj, removed = _project_solvable(grid, w)
     _close(proj, ref_proj)
     assert removed == pytest.approx(ref_removed, rel=1e-12)
+
+
+def test_lame_apply_matches_independent_operator(case):
+    # the solver's apply forms the trace-free flux without its last diagonal
+    # entry; the public operators form and divide the full tensor
+    grid, _, _, rng = case
+    w = rng.normal(size=(grid.dim,) + grid.shape)
+    rho = ScalarField(grid, rng.uniform(0.5, 1.5, size=grid.shape))
+    flux = rho.values * conformal_killing(VectorField(grid, w)).values
+    ref = tensor_divergence(SymTensorField(grid, flux)).values
+    _close(_apply_operator(rho, w), ref)
 
 
 @pytest.mark.parametrize("dim", (3, 4, 5))
