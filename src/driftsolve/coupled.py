@@ -39,6 +39,7 @@ from .momentum import MomentumProblem, _apply_operator, momentum_rhs, solve_lame
 from .scalar import (
     LichCoefficients,
     _residual_values,
+    _terms,
     find_supersolution,
     linearize,
     monotone_iterate,
@@ -144,7 +145,7 @@ def system_residual(u, w, sys):
     """
     g = u.grid
     a = effective_a(sys, w).values
-    rs = ScalarField(g, _residual_values(g, u.values, a, sys))
+    rs = ScalarField(g, _residual_values(g, u.values, _terms(g.q, a, sys), sys.Y.values)[0])
     div_flux = _apply_operator(sys.rho3, w.values)
     source = _vector_rhs(sys, u)
     if source is not None:
@@ -180,11 +181,14 @@ def check_hypotheses(sys, a_tilde, c_n=1.0):
     """Grade the coupled system against the existence hypotheses.
 
     Hard conditions (positivity of ``f`` and ``rho1``, coercivity of the
-    linear part, a positive gap ``a_tilde - rho1``) get PASS/FAIL verdicts.
+    linear part, a positive gap ``a_tilde - rho1``, and in the abstract mode
+    positivity of ``n_tilde``) get PASS/FAIL verdicts.
     The integral-smallness and box-smallness conditions involve constants
     the theory does not make explicit, so they are reported ADVISORY with
     all measured numbers attached; ``c_n`` stands for the dimensional
-    constant of the integral bound ``l1_rhs``.  Never raises.
+    constant of the integral bound ``l1_rhs``.  The vector source bound
+    ``c_r`` is probed only when ``n_tilde`` is positive (the source is
+    undefined otherwise) and reads 0 when it is not.  Never raises.
     """
     g = sys.f.grid
     theta = float(min(sys.rho1.values.min(), sys.f.values.min()))
@@ -214,9 +218,19 @@ def check_hypotheses(sys, a_tilde, c_n=1.0):
     else:
         l1_rhs = 0.0
 
+    verdicts = {
+        "f_positive": "PASS" if sys.f.values.min() > 0 else "FAIL",
+        "rho1_positive": "PASS" if sys.rho1.values.min() > 0 else "FAIL",
+        "coercive": "PASS" if coercive else "FAIL",
+        "omega_positive": "PASS" if omega > 0 else "FAIL",
+        "l1_smallness": "ADVISORY",
+        "smallness_box": "ADVISORY",
+    }
     c_r = 0.0
-    if sys.rhs is not None:
-        r = sys.rhs
+    r = sys.rhs
+    if r is not None:
+        verdicts["n_tilde_positive"] = "PASS" if r.n_tilde.values.min() > 0 else "FAIL"
+    if verdicts.get("n_tilde_positive") == "PASS":
         for u in _probe_fields(g):
             bound = 1.0 + c2_surrogate(u) ** 2 / float(u.values.min()) ** 2
             c_r = max(c_r, sup_norm(momentum_rhs(
@@ -226,14 +240,6 @@ def check_hypotheses(sys, a_tilde, c_n=1.0):
         _holder_surrogate(sys.b) + _holder_surrogate(sys.Y)
         + _holder_surrogate(sys.Psi) + _holder_surrogate(sys.rho2) + c_r)
 
-    verdicts = {
-        "f_positive": "PASS" if sys.f.values.min() > 0 else "FAIL",
-        "rho1_positive": "PASS" if sys.rho1.values.min() > 0 else "FAIL",
-        "coercive": "PASS" if coercive else "FAIL",
-        "omega_positive": "PASS" if omega > 0 else "FAIL",
-        "l1_smallness": "ADVISORY",
-        "smallness_box": "ADVISORY",
-    }
     return HypothesisReport(
         theta=theta, t_norm=t_norm, omega=omega,
         coercivity_lambda=coercivity_lambda, l1_lhs=l1_lhs, l1_rhs=l1_rhs,

@@ -18,17 +18,24 @@ enough to make the sweep order-preserving, and solves the resulting
 gradient-quadratic problem.  Iterates then increase monotonically and stay
 below the barrier.
 
+The residual and its Jacobian work on any table of rows (slot, coef, p, m),
+each the term ``coef u^p s^m`` with ``s = <grad u, Y>``: the equation's own
+table ``_terms``, and each sweep's frozen problem as a four-row table with
+``Y = Z``.  The Jacobian takes the ``s`` the residual used, so it makes no
+transform of its own.  One damped Newton loop, ``_damped_newton``, runs on
+such a table for every scalar Newton job: each sweep's frozen problem, the
+polish below and the nonconstant barrier search.  Its line search accepts
+only positive trials of smaller residual sup-norm.
+
 The sweep map contracts only linearly, so after a few sweeps a damped
-Newton iteration on the full residual (Jacobian ``linearize``, taken term
-by term from the residual's table) finishes the solve.  Its answer is kept
-only if it is finite, positive, meets the sweeps' own stop rule, and lies
-in the order interval between the last sweep iterate and the barrier;
-otherwise the sweeps go on from where
-they stopped.  An accepted answer therefore keeps the barrier bounds
-epsilon0 <= u <= psi of the monotone construction, and it lies at or above
-the sweeps' limit, the smallest solution above the last sweep iterate.
-``find_supersolution`` runs the same Newton iteration to find a
-nonconstant barrier.
+Newton iteration on the full residual finishes the solve.  Its answer is
+kept only if it is finite, positive, meets the sweeps' own stop rule, and
+lies in the order interval between the last sweep iterate and the barrier;
+otherwise the sweeps go on from where they stopped.  An accepted answer
+therefore keeps the barrier bounds epsilon0 <= u <= psi of the monotone
+construction, and it lies at or above the sweeps' limit, the smallest
+solution above the last sweep iterate.  ``find_supersolution`` runs the
+same Newton iteration to find a nonconstant barrier.
 
 Every Newton step, in a sweep and in the polish alike, solves its linear
 system only as accurately as the step needs: to a residual of at most
@@ -108,24 +115,44 @@ def _monomial(coef, uv, p, s=0.0, m=0):
     return out
 
 
-def _residual_values(grid, uv, a, coeffs):
-    """Equation residual at the positive grid array ``uv`` for the array ``a``
-    (of either sign) and ``b c d f h Y`` from any object carrying them."""
+def _residual_values(grid, uv, terms, yv):
+    """Residual ``lap(u) + sum coef u^p s^m`` of the table ``terms`` at the
+    positive grid array ``uv``, with ``s = <grad u, Y>`` for the array
+    ``yv`` of ``Y``; returns the residual and the ``s`` it used (0 when
+    ``Y == 0``)."""
     if uv.min() <= 0:
         raise NonPositiveField(f"residual needs u > 0, min {uv.min()}")
-    if np.any(coeffs.Y.values):
+    if np.any(yv):
         out, grad = _lap_grad_values(grid, uv)
-        s = np.sum(grad * coeffs.Y.values, axis=0)
-    else:  # no gradient terms: the Laplacian alone, as in linearize
+        s = np.sum(grad * yv, axis=0)
+    else:  # no gradient terms: the Laplacian alone
         out, s = _lap_values(grid, uv), 0.0
-    for _, coef, p, m in _terms(grid.q, a, coeffs):
+    for _, coef, p, m in terms:
         out += _monomial(coef, uv, p, s, m)
-    return out
+    return out, s
+
+
+def _jacobian(uv, terms, yv, s):
+    """Derivative of the table ``terms`` at ``uv``, from the ``s`` the
+    residual used: a row ``coef u^p s^m`` adds ``coef p u^(p-1) s^m`` to the
+    zeroth-order coefficient (unless ``p = 0``) and ``coef m u^p s^(m-1) Y``
+    to the first-order one (unless ``m = 0``).  Returns both as arrays."""
+    zeroth = np.zeros(uv.shape)
+    weight = np.zeros(uv.shape)
+    for _, coef, p, m in terms:
+        if p:
+            zeroth += _monomial(coef * p, uv, p - 1.0, s, m)
+        if m:
+            weight += _monomial(coef * m, uv, p, s, m - 1)
+    return zeroth, weight * yv
 
 
 def scalar_residual(u, coeffs):
     """Evaluate the equation residual at a positive field ``u``."""
-    return ScalarField(u.grid, _residual_values(u.grid, u.values, coeffs.a.values, coeffs))
+    g = u.grid
+    res, _ = _residual_values(g, u.values, _terms(g.q, coeffs.a.values, coeffs),
+                              coeffs.Y.values)
+    return ScalarField(g, res)
 
 
 @dataclass
@@ -148,16 +175,10 @@ def linearize(u, coeffs):
     LinearizedOperator
     """
     g = u.grid
-    uv = u.values
     yv = coeffs.Y.values
-    s = np.sum(_grad_values(g, uv) * yv, axis=0) if np.any(yv) else 0.0
-    zeroth = np.zeros(g.shape)
-    weight = np.zeros(g.shape)
-    for _, coef, p, m in _terms(g.q, coeffs.a.values, coeffs):
-        zeroth += _monomial(coef * p, uv, p - 1.0, s, m)
-        if m:
-            weight += _monomial(coef * m, uv, p, s, m - 1)
-    return LinearizedOperator(zeroth=ScalarField(g, zeroth), first=VectorField(g, weight * yv))
+    s = np.sum(_grad_values(g, u.values) * yv, axis=0) if np.any(yv) else 0.0
+    zeroth, first = _jacobian(u.values, _terms(g.q, coeffs.a.values, coeffs), yv, s)
+    return LinearizedOperator(zeroth=ScalarField(g, zeroth), first=VectorField(g, first))
 
 
 def _newton_tol(res_sup):
@@ -173,53 +194,57 @@ def _newton_tol(res_sup):
     return max(1e-12, 1e-4 * min(1.0, res_sup))
 
 
-def _damped_newton(coeffs, uv, target, step_tol, max_steps, max_halvings):
-    """Damped Newton on the full residual from the positive grid array ``uv``.
+def _damped_newton(grid, terms, yv, uv, target, step_tol, max_steps, max_halvings):
+    """Damped Newton on the residual of the table ``terms`` (with ``Y`` given
+    by the array ``yv``) from the positive grid array ``uv``.
 
-    Each step solves ``linearize(u) delta = -residual`` to the forcing
-    target of ``_newton_tol`` and halves ``delta`` until the trial field is
-    positive with a finite residual of smaller sup-norm.  The stop rule is
-    that of exact solves: before a step once the residual sup-norm is at
-    most ``target`` and the last correction's sup-norm is below ``step_tol``
-    (so it takes at least one step); also when a linear solve raises a
+    Each step solves the table's Jacobian (``_jacobian``) for the correction
+    ``delta`` to the forcing target of ``_newton_tol`` and halves ``delta``
+    until the trial field is positive with a finite residual of smaller
+    sup-norm.  The stop rule is that of exact solves: before a step once the
+    residual sup-norm is at most ``target`` and, unless ``step_tol`` is
+    None, the last correction's sup-norm is below ``step_tol`` (so it takes
+    at least one step).  It stops short when a linear solve raises a
     ``SolverError``, when ``max_halvings`` halvings do not lower the
     residual, or after ``max_steps`` steps.
 
     Returns
     -------
-    (ndarray, float, float, int)
+    (ndarray, float, float, int, SolverError or None)
         The last accepted iterate, its residual sup-norm, the sup-norm of
-        the last correction solved for (inf if none) and the number of
-        corrections solved for.
+        the last correction solved for (inf if none), the number of
+        corrections solved for, and the error that stopped it short (None
+        once the stop rule held).
     """
-    g = coeffs.a.grid
-    a = coeffs.a.values
-    res = _residual_values(g, uv, a, coeffs)
+    res, s = _residual_values(grid, uv, terms, yv)
     res_sup = float(np.abs(res).max())
     step = np.inf
     for n in range(max_steps):
-        if res_sup <= target and step < step_tol:
-            return uv, res_sup, step, n
-        op = linearize(ScalarField(g, uv), coeffs)
+        if res_sup <= target and (step_tol is None or step < step_tol):
+            return uv, res_sup, step, n, None
+        zeroth, first = _jacobian(uv, terms, yv, s)
         try:
-            delta = solve_scalar_linear(g, op.zeroth, op.first, ScalarField(g, -res),
-                                        tol=_newton_tol(res_sup)).values
-        except SolverError:
-            return uv, res_sup, step, n
+            delta = solve_scalar_linear(grid, ScalarField(grid, zeroth), VectorField(grid, first),
+                                        ScalarField(grid, -res), tol=_newton_tol(res_sup)).values
+        except SolverError as err:
+            return uv, res_sup, step, n, err
         step = float(np.abs(delta).max())
         lam = 1.0
         for _ in range(max_halvings):
             trial = uv + lam * delta
             if trial.min() > 0:
-                res_t = _residual_values(g, trial, a, coeffs)
+                res_t, s_t = _residual_values(grid, trial, terms, yv)
                 sup_t = float(np.abs(res_t).max())  # NaN or inf if any entry is
                 if np.isfinite(sup_t) and sup_t < res_sup:
-                    uv, res, res_sup = trial, res_t, sup_t
+                    uv, res, s, res_sup = trial, res_t, s_t, sup_t
                     break
             lam *= 0.5
         else:
-            return uv, res_sup, step, n + 1
-    return uv, res_sup, step, max_steps
+            return uv, res_sup, step, n + 1, NonConvergence(
+                f"inner Newton line search failed: {max_halvings} halvings "
+                f"did not lower the residual", iterations=n, residual=res_sup)
+    return uv, res_sup, step, max_steps, NonConvergence(
+        "inner Newton ran out of iterations", iterations=max_steps, residual=res_sup)
 
 
 # --------------------------------------------------------------- lower barrier
@@ -296,32 +321,34 @@ class GenEqData:
             raise NonPositiveField(f"th3 must be < 0, max {self.th3.values.max()}")
 
 
-def _gen_eq_residual(data, uv):
-    """Residual of the frozen sweep problem at the grid array ``uv``, and the
-    ``s = <grad u, Z>`` it was formed from."""
-    lap, grad = _lap_grad_values(data.H.grid, uv)
-    s = np.sum(grad * data.Z.values, axis=0)
-    out = lap + data.H.values * uv + data.th3.values
-    out += data.th1.values * s**2 + data.th2.values * s
-    return out, s
+def _frozen_terms(data):
+    """The frozen sweep problem as a table of rows (slot, coef, p, m)."""
+    return [("H", data.H.values, 1.0, 0), ("th3", data.th3.values, 0.0, 0),
+            ("th2", data.th2.values, 0.0, 1), ("th1", data.th1.values, 0.0, 2)]
 
 
 def solve_gen_eq(data, u_init):
     """Solve the frozen sweep problem by damped Newton (direct when linear).
 
     With ``Z == 0`` the problem is linear and handled in one solve.
-    Otherwise Newton linearizes the gradient terms into a drift
-    ``(2 th1 s + th2) Z`` and backtracks on the sup-norm of the residual.
-    Each Newton linear solve stops at the forcing target of ``_newton_tol``
-    (``1e-4`` of the residual's sup-norm); the residual target of the sweep
-    problem is ``1e-11 max(1, sup|th3|)`` whatever the forcing.  Newton
-    gets at most 50 steps.
+    Otherwise ``_damped_newton`` runs on the problem's table
+    ``H u + th3 + th2 s + th1 s^2`` from the positive start ``u_init``: its
+    Jacobian linearizes the gradient terms into a drift ``(2 th1 s + th2) Z``,
+    and its line search accepts only positive trials of smaller residual
+    sup-norm.  Each Newton linear solve stops at the forcing target of
+    ``_newton_tol`` (``1e-4`` of the residual's sup-norm); the residual
+    target of the sweep problem is ``1e-11 max(1, sup|th3|)`` whatever the
+    forcing, with no rule on the step.  Newton gets at most 50 steps.
 
     Raises
     ------
+    NonPositiveField
+        If ``u_init`` is not positive (and ``Z`` is nonzero).
     NonConvergence
         If 12 halvings of a Newton step cannot lower the residual (the
         line search failed), or the 50 steps run out above the target.
+    SolverError
+        Whatever a Newton linear solve raises.
     """
     g = data.H.grid
     tol = 1e-11 * max(1.0, float(np.abs(data.th3.values).max()))
@@ -330,31 +357,12 @@ def solve_gen_eq(data, u_init):
         rhs = ScalarField(g, -data.th3.values)
         return solve_scalar_linear(g, data.H, None, rhs)
 
-    uv = u_init.values
-    res, s = _gen_eq_residual(data, uv)
-    for it in range(_MAX_NEWTON):
-        res_sup = np.abs(res).max()
-        if res_sup <= tol:
-            return ScalarField(g, uv)
-        drift = VectorField(
-            g, (2.0 * data.th1.values * s + data.th2.values) * data.Z.values)
-        delta = solve_scalar_linear(g, data.H, drift, ScalarField(g, -res),
-                                    tol=_newton_tol(res_sup)).values
-        lam, improved = 1.0, False
-        for _ in range(_MAX_HALVINGS):
-            trial = uv + lam * delta
-            res_t, s_t = _gen_eq_residual(data, trial)
-            if np.all(np.isfinite(res_t)) and np.abs(res_t).max() < res_sup:
-                uv, res, s, improved = trial, res_t, s_t, True
-                break
-            lam *= 0.5
-        if not improved:
-            raise NonConvergence(
-                f"inner Newton line search failed: {_MAX_HALVINGS} halvings "
-                f"did not lower the residual",
-                iterations=it, residual=float(res_sup))
-    raise NonConvergence("inner Newton ran out of iterations",
-                         iterations=_MAX_NEWTON, residual=float(np.abs(res).max()))
+    uv, _, _, _, err = _damped_newton(
+        g, _frozen_terms(data), data.Z.values, u_init.values, target=tol, step_tol=None,
+        max_steps=_MAX_NEWTON, max_halvings=_MAX_HALVINGS)
+    if err is not None:
+        raise err
+    return ScalarField(g, uv)
 
 
 # -------------------------------------------------------------- outer sweeps
@@ -385,12 +393,13 @@ class MonotoneTrace:
         return len(self.steps)
 
 
-def _polish(coeffs, u_k, psi_v, step_tol, tol_outer, trace):
-    """Newton from the sweep iterate ``u_k``; the polished field if it is
-    finite, positive, meets the sweeps' stop rule and lies in the order
-    interval ``[u_k, psi]`` up to roundoff, else None."""
-    uv, res_sup, step, trace.newton_steps = _damped_newton(
-        coeffs, u_k, target=tol_outer, step_tol=step_tol, max_steps=_MAX_POLISH,
+def _polish(grid, terms, yv, u_k, psi_v, step_tol, tol_outer, trace):
+    """Newton on the equation's table from the sweep iterate ``u_k``; the
+    polished field if it is finite, positive, meets the sweeps' stop rule
+    and lies in the order interval ``[u_k, psi]`` up to roundoff, else
+    None."""
+    uv, res_sup, step, trace.newton_steps, _ = _damped_newton(
+        grid, terms, yv, u_k, target=tol_outer, step_tol=step_tol, max_steps=_MAX_POLISH,
         max_halvings=_MAX_HALVINGS)
     slack = 1e-12 * max(1.0, float(psi_v.max()))
     if not (np.all(np.isfinite(uv)) and uv.min() > 0
@@ -399,7 +408,7 @@ def _polish(coeffs, u_k, psi_v, step_tol, tol_outer, trace):
         return None
     trace.polished = True
     trace.final_residual = res_sup
-    return ScalarField(coeffs.a.grid, uv)
+    return ScalarField(grid, uv)
 
 
 def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
@@ -438,9 +447,10 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
     (ScalarField, MonotoneTrace)
     """
     g = psi.grid
-    a = coeffs.a.values
+    terms = _terms(g.q, coeffs.a.values, coeffs)
+    yv = coeffs.Y.values
     eps0 = pick_epsilon0(psi, coeffs)
-    barrier = _residual_values(g, psi.values, a, coeffs)
+    barrier, _ = _residual_values(g, psi.values, terms, yv)
     if barrier.min() < _BARRIER_TOL:
         node = np.unravel_index(int(np.argmin(barrier)), g.shape)
         raise NotASupersolution(node, float(barrier.min()))
@@ -453,14 +463,14 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
     for it in range(max_outer):
         # the frozen terms grouped by their power m of s: th3, th2, th1
         frozen = [-h_shift.values * uv, np.zeros(g.shape), np.zeros(g.shape)]
-        for _, coef, p, m in _terms(g.q, a, coeffs):
+        for _, coef, p, m in terms:
             frozen[m] += _monomial(coef, uv, p)
         th3, th2, th1 = (ScalarField(g, v) for v in frozen)
         data = GenEqData(H=h_shift, th1=th1, th2=th2, th3=th3, Z=coeffs.Y)
         u = solve_gen_eq(data, u)
         step = float(np.abs(u.values - uv).max())
         uv = u.values
-        resid = float(np.abs(_residual_values(g, uv, a, coeffs)).max())
+        resid = float(np.abs(_residual_values(g, uv, terms, yv)[0]).max())
         trace.steps.append(step)
         trace.mins.append(float(uv.min()))
         trace.final_residual = resid
@@ -469,7 +479,7 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
         if step < step_tol and resid <= tol_outer:
             return u, trace
         if it + 1 == _SWEEPS_BEFORE_POLISH:
-            polished = _polish(coeffs, uv, psi.values, step_tol, tol_outer, trace)
+            polished = _polish(g, terms, yv, uv, psi.values, step_tol, tol_outer, trace)
             if polished is not None:
                 return polished, trace
     raise NonConvergence("monotone sweeps did not settle",
@@ -479,12 +489,10 @@ def monotone_iterate(coeffs, psi, step_tol=1e-10, tol_outer=1e-9,
 # ------------------------------------------------------------- upper barriers
 
 
-def _constant_margin(h, f, at, t):
-    """Worst-case residual of the constant field t."""
-    q = h.grid.q
-    vals = (h.values * t - f.values * t ** (q - 1.0)
-            - at.values * t ** (-q - 1.0))
-    return float(vals.min())
+def _constant_margin(terms, t):
+    """Worst-case residual of the constant field t: the least sum of the
+    table's rows free of ``s``."""
+    return float(sum(coef * t**p for _, coef, p, m in terms if m == 0).min())
 
 
 def find_supersolution(h, f, a_tilde):
@@ -509,26 +517,26 @@ def find_supersolution(h, f, a_tilde):
     if a_tilde.values.min() <= 0:
         raise NonPositiveField(f"a-level must be > 0, min {a_tilde.values.min()}")
 
+    zero = ScalarField(g, np.zeros(g.shape))
+    reduced = LichCoefficients(a=a_tilde, b=zero, c=zero, d=zero, f=f, h=h,
+                               Y=VectorField(g, np.zeros((g.dim,) + g.shape)))
+    terms = _terms(q, a_tilde.values, reduced)
     # balance point of the two negative terms sets the natural scale
     t_mid = (max(np.abs(h.values).max(), 1.0) / f.values.min()) ** (1.0 / (q - 2.0))
     # the bounded search stops once its bracket is within sqrt(eps) |t| +
     # xatol / 3, so t is settled to about 1.5e-8 relative, whatever a small
     # xatol: enough, as the margin is flat at its maximum.  xatol = 1e-13
     # stays only because scipy's default 1e-5 would move the barrier.
-    opt = minimize_scalar(lambda t: -_constant_margin(h, f, a_tilde, t),
+    opt = minimize_scalar(lambda t: -_constant_margin(terms, t),
                           bounds=(1e-3 * t_mid, 1e3 * t_mid), method="bounded",
                           options={"xatol": 1e-13})
     best_t, best_margin = float(opt.x), -float(opt.fun)
     if best_margin >= _BARRIER_TOL:
         return ScalarField(g, np.full(g.shape, best_t))
 
-    # stage two: exact nonconstant solution of the reduced equation; the
-    # best constant misses by more than the target, so a step is always due
-    zero = ScalarField(g, np.zeros(g.shape))
-    reduced = LichCoefficients(a=a_tilde, b=zero, c=zero, d=zero, f=f, h=h,
-                               Y=VectorField(g, np.zeros((g.dim,) + g.shape)))
-    uv, res_sup, _, _ = _damped_newton(
-        reduced, np.full(g.shape, best_t), target=1e-10, step_tol=np.inf,
+    # stage two: exact nonconstant solution of the reduced equation
+    uv, res_sup, _, _, _ = _damped_newton(
+        g, terms, reduced.Y.values, np.full(g.shape, best_t), target=1e-10, step_tol=None,
         max_steps=60, max_halvings=15)
     if res_sup <= 1e-10:
         return ScalarField(g, uv)

@@ -99,6 +99,21 @@ def test_hypothesis_report_never_throws_on_noncoercive_h():
     assert rep.sh_estimate == 0.0  # not defined without coercivity
 
 
+def test_hypothesis_report_grades_nonpositive_n_tilde():
+    # with n_tilde <= 0 the abstract source is undefined: a FAIL verdict,
+    # and c_r is not probed (the probe raised NonPositiveField)
+    g = GridSpec(dim=3, n_axis=8)
+    at = const_s(g, 0.5)
+    bad = dataclasses.replace(small_rhs(g), n_tilde=const_s(g, -1.0))
+    rep = check_hypotheses(make_sys(g, rho1=0.3, rhs=bad), at)
+    assert rep.verdicts["n_tilde_positive"] == "FAIL"
+    assert rep.c_r_measured == 0.0
+    good = check_hypotheses(make_sys(g, rho1=0.3, rhs=small_rhs(g)), at)
+    assert good.verdicts["n_tilde_positive"] == "PASS"
+    assert good.c_r_measured > 0.0
+    assert "n_tilde_positive" not in check_hypotheses(make_sys(g, rho1=0.3), at).verdicts
+
+
 # --------------------------------------------------------- Sobolev constant
 
 

@@ -16,6 +16,9 @@
 * Every ``_``-prefixed module-level function, class or constant is referred
   to somewhere in the package outside its own definition, so a private
   helper whose last caller went away does not linger.
+* Exactly one function refers to ``scalar._newton_tol``, the forcing rule
+  of an inexact Newton step: every scalar Newton job runs through the one
+  damped-Newton loop, so a second loop cannot return unnoticed.
 * ``scipy`` is imported only inside functions, never when a module loads:
   importing ``scipy.sparse.linalg`` after numpy took a process's peak
   resident memory from 27 to 59 MB (numpy 2.4, scipy 1.17, Linux x86-64),
@@ -194,6 +197,15 @@ def unreferenced_privates(sources):
             if not any(name in refs for other, refs in referenced.items() if other != key)]
 
 
+def referring_functions(sources, name):
+    """``module.function`` of each function (nested ones included) whose
+    body refers to ``name``, apart from a definition of ``name`` itself."""
+    return [f"{module}.{node.name}" for module, source in sources.items()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name != name and name in _references(node)]
+
+
 def eager_imports(source):
     """(module, line) of each import of a ``LAZY`` package that runs when
     the module loads: anywhere outside a function body."""
@@ -288,6 +300,21 @@ def test_scan_finds_unreferenced_privates():
         "b": "from a import run\n_TABLE = {'run': run}\nprint(a_mod._SPARE, _TABLE)\n",
     }
     assert unreferenced_privates(sources) == ["a._helper", "a._Unused"]
+
+
+def test_scan_finds_referring_functions():
+    sources = {
+        "a": ("def _tol(x):\n    return _tol(x - 1) if x else 0\n"
+              "def run():\n    return _tol(1)\n"
+              "def other():\n    def inner():\n        return mod._tol\n    return inner\n"),
+        "b": "def free():\n    return 2\n",
+    }
+    assert referring_functions(sources, "_tol") == ["a.run", "a.other", "a.inner"]
+
+
+def test_one_function_sets_a_newton_forcing():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert referring_functions(sources, "_newton_tol") == ["scalar._damped_newton"]
 
 
 def test_every_private_definition_is_referenced():

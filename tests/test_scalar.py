@@ -214,6 +214,33 @@ def test_gen_eq_failed_line_search_raises(monkeypatch):
     assert err.value.iterations == 0
 
 
+def test_frozen_table_jacobian_is_the_hand_written_one():
+    # the sweep problem's four-row table differentiates, bit for bit, to the
+    # zeroth-order H and the drift (2 th1 s + th2) Z; its residual is the
+    # hand-written one up to the order of summation
+    g = GridSpec(dim=3, n_axis=8)
+    x = mesh(g)
+    data = GenEqData(
+        H=ScalarField(g, 1.0 + 0.2 * np.cos(x[1])),
+        th1=ScalarField(g, 0.5 + 0.3 * np.sin(x[2])),
+        th2=ScalarField(g, 0.4 * np.cos(x[0])),
+        th3=ScalarField(g, -(2.0 + np.sin(x[0]))),
+        Z=VectorField(g, np.stack([0.4 + 0.2 * np.sin(x[1]), 0.3 * np.cos(x[2]),
+                                   0.2 * np.sin(x[0] + x[1])])),
+    )
+    u = ScalarField(g, 1.5 + 0.2 * np.sin(x[0]) * np.cos(x[1]))
+    zv = data.Z.values
+    terms = driftsolve.scalar._frozen_terms(data)
+    res, s = driftsolve.scalar._residual_values(g, u.values, terms, zv)
+    assert np.array_equal(s, np.sum(gradient(u).values * zv, axis=0))
+    hand = (laplacian(u).values + data.H.values * u.values + data.th3.values
+            + data.th1.values * s**2 + data.th2.values * s)
+    assert np.abs(res - hand).max() <= 1e-14 * np.abs(hand).max()
+    zeroth, first = driftsolve.scalar._jacobian(u.values, terms, zv, s)
+    assert np.array_equal(zeroth, data.H.values)
+    assert np.array_equal(first, (2.0 * data.th1.values * s + data.th2.values) * zv)
+
+
 # ----------------------------------------------------------- outer iteration
 
 
@@ -380,9 +407,11 @@ def test_polish_outside_order_interval_is_rejected(monkeypatch, pure_sweeps, lea
     coeffs, u_star, u_ref, trace_ref = pure_sweeps
     real = driftsolve.scalar._damped_newton
 
-    def displaced(coeffs, uv, *args, **kwargs):
-        out, res_sup, step, n = real(coeffs, uv, *args, **kwargs)
-        return leave(out, uv), res_sup, step, n
+    def displaced(grid, terms, yv, uv, **kwargs):
+        out, res_sup, step, n, err = real(grid, terms, yv, uv, **kwargs)
+        if kwargs["step_tol"] is None:  # a sweep's frozen problem
+            return out, res_sup, step, n, err
+        return leave(out, uv), res_sup, step, n, err
 
     monkeypatch.setattr(driftsolve.scalar, "_damped_newton", displaced)
     u, trace = monotone_iterate(coeffs, u_star, **FALLBACK_TOLS)
@@ -396,20 +425,25 @@ def test_polish_outside_order_interval_is_rejected(monkeypatch, pure_sweeps, lea
 def test_polish_solver_error_resumes_sweeps(monkeypatch, pure_sweeps):
     coeffs, u_star, u_ref, trace_ref = pure_sweeps
     real_solve = driftsolve.scalar.solve_scalar_linear
-    real_linearize = driftsolve.scalar.linearize
+    real_newton = driftsolve.scalar._damped_newton
+    in_polish = [False]
     jacobians = []
 
-    def recorded(u, coeffs):
-        op = real_linearize(u, coeffs)
-        jacobians.append(op.zeroth)
-        return op
+    def flagged(*args, **kwargs):
+        # the polish is the Newton run with a step rule; sweeps have none
+        in_polish[0] = kwargs["step_tol"] is not None
+        try:
+            return real_newton(*args, **kwargs)
+        finally:
+            in_polish[0] = False
 
     def failing(grid, h, drift, rhs, **kwargs):
-        if any(h is z for z in jacobians):
+        if in_polish[0]:
+            jacobians.append(h)
             raise NonConvergence("linear scalar solve stalled", iterations=4, residual=1.0)
         return real_solve(grid, h, drift, rhs, **kwargs)
 
-    monkeypatch.setattr(driftsolve.scalar, "linearize", recorded)
+    monkeypatch.setattr(driftsolve.scalar, "_damped_newton", flagged)
     monkeypatch.setattr(driftsolve.scalar, "solve_scalar_linear", failing)
     u, trace = monotone_iterate(coeffs, u_star, **FALLBACK_TOLS)
     assert len(jacobians) == 1  # one polish, stopped at its first solve
@@ -430,6 +464,44 @@ def test_polish_apply_budget(op_applies):
     assert op_applies[0] <= 150
 
 
+def test_newton_jacobian_makes_no_transform(monkeypatch):
+    # outside the linear solves every transform of the sweeps and the polish
+    # is a residual's: 5 at dim 3 (one forward, the Laplacian and three
+    # gradient components); a Newton step's Jacobian reuses the residual's s
+    import driftsolve.grid
+
+    g = GridSpec(dim=3, n_axis=8)
+    coeffs, u_star = drift_problem(g)
+    transforms, residuals, solving = [0], [0], [False]
+
+    def counted(real, tally):
+        def wrapper(*args, **kwargs):
+            if not solving[0]:
+                tally[0] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    real_solve = driftsolve.scalar.solve_scalar_linear
+
+    def excluded(*args, **kwargs):
+        solving[0] = True
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            solving[0] = False
+
+    for name in ("_rfft", "_to_real"):
+        monkeypatch.setattr(driftsolve.grid, name, counted(getattr(driftsolve.grid, name),
+                                                           transforms))
+    monkeypatch.setattr(driftsolve.scalar, "_residual_values",
+                        counted(driftsolve.scalar._residual_values, residuals))
+    monkeypatch.setattr(driftsolve.scalar, "solve_scalar_linear", excluded)
+    u, trace = monotone_iterate(coeffs, u_star)
+    assert trace.polished and trace.newton_steps >= 1
+    assert residuals[0] > 0
+    assert transforms[0] == 5 * residuals[0]
+
+
 def test_monotone_two_sweep_budget_raises():
     # a budget below the polish point ends in NonConvergence, as before
     g = GridSpec(dim=3, n_axis=8)
@@ -440,10 +512,9 @@ def test_monotone_two_sweep_budget_raises():
 
 
 def test_reduced_newton_terms_are_the_hand_written_ones():
-    # with b = c = d = 0 and Y = 0 the full residual and its linearization
-    # are bit-for-bit the reduced equation's
+    # with b = c = d = 0 and Y = 0 the full residual and the Jacobian Newton
+    # forms from its table are bit-for-bit the reduced equation's
     from driftsolve.grid import _lap_values
-    from driftsolve.stability import linearize
 
     g = GridSpec(dim=3, n_axis=8)
     q = g.q
@@ -452,14 +523,31 @@ def test_reduced_newton_terms_are_the_hand_written_ones():
     coeffs = LichCoefficients(a=at, b=zero, c=zero, d=zero, f=f, h=h, Y=zero_v(g))
     u = sin_s(g, axis=1, amp=0.2, offset=1.3)
     uv = u.values
-    res = driftsolve.scalar._residual_values(g, uv, at.values, coeffs)
+    terms = driftsolve.scalar._terms(q, at.values, coeffs)
+    res, s = driftsolve.scalar._residual_values(g, uv, terms, coeffs.Y.values)
     assert np.array_equal(res, _lap_values(g, uv) + h.values * uv
                           - f.values * uv ** (q - 1.0) - at.values * uv ** (-q - 1.0))
-    op = linearize(u, coeffs)
-    assert np.array_equal(op.zeroth.values,
+    zeroth, first = driftsolve.scalar._jacobian(uv, terms, coeffs.Y.values, s)
+    assert np.array_equal(zeroth,
                           h.values - (q - 1.0) * f.values * uv ** (q - 2.0)
                           + (q + 1.0) * at.values * uv ** (-q - 2.0))
-    assert not np.any(op.first.values)
+    assert not np.any(first)
+
+
+def test_constant_margin_is_the_hand_written_one():
+    # the margin summed from the reduced table's s-free rows is bit-for-bit
+    # the worst case of h t - f t^(q-1) - a t^(-q-1)
+    g = GridSpec(dim=3, n_axis=8)
+    q = g.q
+    h, f = sin_s(g, amp=0.9, offset=1.0), sin_s(g, axis=1, amp=0.1, offset=0.5)
+    at = sin_s(g, axis=2, amp=0.01, offset=0.03)
+    zero = const_s(g, 0.0)
+    coeffs = LichCoefficients(a=at, b=zero, c=zero, d=zero, f=f, h=h, Y=zero_v(g))
+    terms = driftsolve.scalar._terms(q, at.values, coeffs)
+    for t in (0.3, 1.0, 1.7):
+        hand = np.min(h.values * t - f.values * t ** (q - 1.0)
+                      - at.values * t ** (-q - 1.0))
+        assert driftsolve.scalar._constant_margin(terms, t) == hand
 
 
 def all_terms_problem(grid):
@@ -494,10 +582,13 @@ def test_linearize_is_the_derivative_of_the_residual():
     phi = 0.3 * np.cos(x[2]) + 0.2 * np.sin(x[0] + x[1]) - 0.1 * np.sin(2 * x[1])
     op = driftsolve.scalar.linearize(u, coeffs)
     exact = _scalar_op_values(g, op.zeroth.values, op.first.values, phi)
+    terms = driftsolve.scalar._terms(g.q, a, coeffs)
+
+    def residual(uv):
+        return driftsolve.scalar._residual_values(g, uv, terms, coeffs.Y.values)[0]
+
     eps = 1e-5
-    central = (driftsolve.scalar._residual_values(g, u.values + eps * phi, a, coeffs)
-               - driftsolve.scalar._residual_values(g, u.values - eps * phi, a, coeffs)
-               ) / (2.0 * eps)
+    central = (residual(u.values + eps * phi) - residual(u.values - eps * phi)) / (2.0 * eps)
     assert np.abs(central - exact).max() <= 1e-8 * np.abs(exact).max()
 
 
